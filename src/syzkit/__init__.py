@@ -2,7 +2,7 @@
 
 Layers, bottom to top:
 
-- exactalg: blocked exact linear algebra mod p (rank / kernel / spans)
+- exactalg: sparse exact linear algebra mod p (rank / kernel / spans)
 - polyring: graded polynomial rings, Groebner bases, Hilbert data,
   elimination, saturation, embedded schemes
 - koszul: Koszul complex matrices, linear-strand cocycles, Betti tables,

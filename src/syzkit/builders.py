@@ -17,7 +17,13 @@ from math import comb
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .exactalg import DEFAULT_CHAR, complement_basis, kernel_basis, rank as matrix_rank
+from .exactalg import (
+    DEFAULT_CHAR,
+    SparseRows,
+    complement_basis,
+    kernel_basis,
+    rank as matrix_rank,
+)
 from .polyring import EmbeddedScheme, Ideal, PolyRing, Polynomial
 from .syzgeo import ProjectivePoint
 
@@ -450,13 +456,10 @@ def implicitize_kernel(model: PlaneModel, forms, max_degree: int = 3) -> Ideal:
         for g in prev_piece:
             for i in range(tring.nvars):
                 prod = g * tring.var(i)
-                vec = np.zeros(len(cols), dtype=np.int64)
-                for m, c in prod.terms.items():
-                    vec[col_index[m]] = c
-                old_rows.append(vec)
+                old_rows.append({col_index[m]: c for m, c in prod.terms.items()})
         if len(ker):
             new_rows = (
-                complement_basis(np.array(old_rows, dtype=np.int64), ker, char)
+                complement_basis(SparseRows(old_rows, len(cols)), ker, char)
                 if old_rows
                 else ker
             )

@@ -62,7 +62,7 @@ from .builders import (
     validate_plane_model,
 )
 from .errors import BudgetError, InputError, VerificationError
-from .exactalg import DEFAULT_CHAR, rank as matrix_rank
+from .exactalg import DEFAULT_CHAR, FieldSpec, rank as matrix_rank
 from .koszul import (
     DEFAULT_ENTRY_BUDGET,
     KoszulCocycle,
@@ -176,8 +176,7 @@ def _print_json(report: dict):
 
 def _context(args, argv) -> RunContext:
     char = args.field_char if args.field_char is not None else DEFAULT_CHAR
-    if char < 2:
-        raise InputError(f"--field-char must be a prime >= 2, got {char}")
+    FieldSpec(char)  # a bad --field-char fails here, before any work starts
     return RunContext(
         command=args.command,
         argv=argv,

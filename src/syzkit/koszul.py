@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .exactalg import complement_basis, kernel_basis, rref
+from .exactalg import SparseRows, complement_basis, kernel_basis, rref, sparse_rows
 from .polyring import DRL, EmbeddedScheme, Ideal, Polynomial
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
@@ -103,7 +103,8 @@ def koszul_matrix(
                 for m2, c in scheme.ideal.nf_times_var(m, i).items():
                     mat[j_row + tgt_monos_index[m2], ci] += sign * c
             ci += 1
-    return mat % char
+    mat %= char
+    return mat
 
 
 def koszul_rank(
@@ -279,7 +280,11 @@ class KoszulCocycle:
         mat = koszul_matrix(self.scheme, self.p, 1, entry_budget)
         if mat.shape[1] == 0:
             return True
-        return not np.any((mat @ self.to_vector()) % self.scheme.char)
+        char = self.scheme.char
+        # reduce each product before summing: a product of two entries fits
+        # in int64 for every char < 2**31, a sum of many products may not
+        terms = (mat * self.to_vector()) % char
+        return not np.any(terms.sum(axis=1) % char)
 
     def add(self, other: "KoszulCocycle") -> "KoszulCocycle":
         if other.scheme is not self.scheme or other.p != self.p:
@@ -459,10 +464,6 @@ class Resolution:
         return len(self.modules) - 1
 
 
-def _module_monomials(ring, d: int):
-    return ring.monomials_of_degree(d)
-
-
 def minimal_free_resolution(
     ideal: Ideal, degree_bound: int = 10, length_bound: int | None = None
 ) -> Resolution:
@@ -480,6 +481,8 @@ def minimal_free_resolution(
         length_bound = nv
     modules: list[list[int]] = [[0]]
     maps: list[list[list[Polynomial]]] = []
+    # every step asks for the same few degrees many times over
+    monomials = lru_cache(maxsize=None)(ring.monomials_of_degree)
 
     # generator vectors of F_s over F_{s-1}, as lists of Polynomials
     prev_gen_vectors: list[list[Polynomial]] | None = None
@@ -489,47 +492,43 @@ def minimal_free_resolution(
         if step == 1:
             # kernel pieces are just the graded pieces of the ideal,
             # in coordinates over the full monomial basis of R_d
-            def kernel_piece(d: int) -> np.ndarray:
-                monos = _module_monomials(ring, d)
+            def kernel_piece(d: int) -> SparseRows:
+                monos = monomials(d)
                 pos = {m: i for i, m in enumerate(monos)}
-                basis = ideal.graded_basis(d)
-                out = np.zeros((len(basis), len(monos)), dtype=np.int64)
-                for r, g in enumerate(basis):
-                    for m, c in g.terms.items():
-                        out[r, pos[m]] = c
-                return out
+                rows = [
+                    {pos[m]: c for m, c in g.terms.items()}
+                    for g in ideal.graded_basis(d)
+                ]
+                return SparseRows(rows, len(monos))
 
             def coord_layout(d: int):
-                return [(0, m) for m in _module_monomials(ring, d)]
+                return [(0, m) for m in monomials(d)]
 
         else:
             gen_vectors = prev_gen_vectors
 
-            def kernel_piece(d: int, _gv=gen_vectors, _pd=prev_degrees, _ppd=modules[step - 2]) -> np.ndarray:
+            def kernel_piece(d: int, _gv=gen_vectors, _pd=prev_degrees, _ppd=modules[step - 2]) -> SparseRows:
                 cols = []
-                col_entries = []
                 for j, dj in enumerate(_pd):
-                    for m in _module_monomials(ring, d - dj):
+                    for m in monomials(d - dj):
                         cols.append((j, m))
                 row_pos = {}
                 for i, di in enumerate(_ppd):
-                    for m in _module_monomials(ring, d - di):
+                    for m in monomials(d - di):
                         row_pos[(i, m)] = len(row_pos)
-                mat = np.zeros((len(row_pos), len(cols)), dtype=np.int64)
+                rows = [{} for _ in row_pos]
                 for ci, (j, m) in enumerate(cols):
-                    mono = ring.monomial(m)
                     for i, entry in enumerate(_gv[j]):
-                        if not entry:
-                            continue
-                        prod = entry * mono
-                        for mm, c in prod.terms.items():
-                            mat[row_pos[(i, mm)], ci] = c
-                return kernel_basis(mat, char)
+                        # entry * m, one term at a time
+                        for mm, c in entry.terms.items():
+                            shifted = tuple(a + b for a, b in zip(mm, m))
+                            rows[row_pos[(i, shifted)]][ci] = c
+                return sparse_rows(kernel_basis(SparseRows(rows, len(cols)), char), char)
 
             def coord_layout(d: int, _pd=prev_degrees):
                 out = []
                 for j, dj in enumerate(_pd):
-                    for m in _module_monomials(ring, d - dj):
+                    for m in monomials(d - dj):
                         out.append((j, m))
                 return out
 
@@ -547,48 +546,39 @@ def minimal_free_resolution(
             scan_max = min(degree_bound, 2 * max(prev_degrees))
         new_degrees: list[int] = []
         new_vectors: list[list[Polynomial]] = []
-        prev_kernel_rows: np.ndarray | None = None
+        # the previous degree's kernel piece, as rows over its layout
+        prev_kernel: list[dict] = []
         prev_layout = None
         for d in range(dmin, scan_max + 1):
             layout = coord_layout(d)
             ker = kernel_piece(d)
             # span of lower-degree kernel elements, shifted by each variable
             old_rows = []
-            if prev_kernel_rows is not None and prev_kernel_rows.shape[0]:
+            if prev_kernel:
                 pos = {key: i for i, key in enumerate(layout)}
-                for row in prev_kernel_rows:
+                # column of (j, m * x_v) in this degree, per column (j, m)
+                # of the previous degree that some kernel row uses
+                shift = {}
+                for idx in set().union(*prev_kernel):
+                    j, m = prev_layout[idx]
+                    shift[idx] = [
+                        pos[(j, m[:v] + (m[v] + 1,) + m[v + 1 :])] for v in range(nv)
+                    ]
+                for row in prev_kernel:
                     for v in range(nv):
-                        shifted = np.zeros(len(layout), dtype=np.int64)
-                        for idx, c in enumerate(row):
-                            if c:
-                                j, m = prev_layout[idx]
-                                e = list(m)
-                                e[v] += 1
-                                shifted[pos[(j, tuple(e))]] = c
-                        old_rows.append(shifted)
-            old = (
-                np.array(old_rows, dtype=np.int64)
-                if old_rows
-                else np.zeros((0, len(layout)), dtype=np.int64)
-            )
-            new = complement_basis(old, ker, char) if ker.shape[0] else np.zeros((0, len(layout)), dtype=np.int64)
+                        old_rows.append({shift[idx][v]: c for idx, c in row.items()})
+            new = complement_basis(SparseRows(old_rows, len(layout)), ker, char)
             for row in new:
                 vec: list[Polynomial] = []
                 for j in range(len(prev_degrees)):
                     vec.append(ring.zero())
-                for idx, c in enumerate(row):
-                    if c:
-                        j, m = layout[idx]
-                        vec[j] = vec[j] + ring.monomial(m, int(c))
+                for idx in np.flatnonzero(row).tolist():
+                    j, m = layout[idx]
+                    vec[j] = vec[j] + ring.monomial(m, int(row[idx]))
                 new_degrees.append(d)
                 new_vectors.append(vec)
             # the full kernel piece (not just new gens) feeds the next degree
-            if ker.shape[0]:
-                prev_kernel_rows = ker
-                prev_layout = layout
-            else:
-                prev_kernel_rows = np.zeros((0, len(layout)), dtype=np.int64)
-                prev_layout = layout
+            prev_kernel, prev_layout = ker.rows, layout
         if not new_degrees:
             break
         # minimality check: no unit (degree-zero) entries

@@ -680,8 +680,9 @@ class Ideal:
                 polys.append(g)
         self.gens = tuple(polys)
         self._gb: dict[str, list[dict]] = {}
-        self._std: dict[int, list[Mono]] = {}
-        self._std_index: dict[int, dict[Mono, int]] = {}
+        # degree -> (standard monomials, their positions), stored by one
+        # assignment so a concurrent reader never sees half an entry
+        self._std: dict[int, tuple[list[Mono], dict[Mono, int]]] = {}
         self._nf_cache: dict = {}
         self._hilbert: HilbertData | None = None
 
@@ -728,21 +729,23 @@ class Ideal:
     def standard_monomials(self, d: int) -> list[Mono]:
         """Monomials of degree d not divisible by any GB lead term, sorted
         degrevlex-descending.  These represent a basis of (R/I)_d."""
+        return self._standard(d)[0]
+
+    def standard_index(self, d: int) -> dict[Mono, int]:
+        return self._standard(d)[1]
+
+    def _standard(self, d: int) -> tuple[list[Mono], dict[Mono, int]]:
         got = self._std.get(d)
         if got is None:
             leads = self.lead_monomials()
-            got = [
+            monos = [
                 m
                 for m in self.ring.monomials_of_degree(d)
                 if not any(_divides(l, m) for l in leads)
             ]
+            got = (monos, {m: i for i, m in enumerate(monos)})
             self._std[d] = got
-            self._std_index[d] = {m: i for i, m in enumerate(got)}
         return got
-
-    def standard_index(self, d: int) -> dict[Mono, int]:
-        self.standard_monomials(d)
-        return self._std_index[d]
 
     def hilbert_function(self, d: int) -> int:
         """h(d) = dim_k (R/I)_d, by counting standard monomials."""

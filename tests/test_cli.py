@@ -328,11 +328,30 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["syzscheme", "rnc 3", "--p", "2", "--class-index", "7"],
         ["syzscheme", "rnc 3", "--p", "2", "--class-coeffs", "0,0"],  # zero class
         ["syzscheme", "rnc 3", "--p", "2", "--class-coeffs", "1"],  # wrong length
+        ["betti", "rnc 3", "--field-char", "1"],
+        ["betti", "rnc 3", "--field-char", "0"],
+        ["betti", "rnc 3", "--field-char", "-7"],
+        ["betti", "rnc 3", "--field-char", "2147483659"],  # prime, but >= 2**31
+        # prime and far too large: must be refused without trial division
+        ["betti", "rnc 3", "--field-char", "18446744073709551629"],
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", [2, 3, 2147483647])
+def test_betti_grid_same_at_edge_primes(char, capsys):
+    def grid(p):
+        rc, report = run_json(
+            capsys, ["betti", "scroll 2 1", "--field-char", str(p), "--json"]
+        )
+        assert rc == 0
+        assert report["field_char"] == p
+        return report["payload"]["table"]["entries"]
+
+    assert grid(char) == grid(32003)
 
 
 def test_field_char_conflict_with_file(tc_file, capsys):

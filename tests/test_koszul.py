@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzkit.builders import rational_normal_curve
 from syzkit.errors import BudgetError, InputError
 from syzkit.koszul import (
     BettiTable,
@@ -122,6 +123,23 @@ def test_cocycle_basis_twisted_cubic(tc):
     assert [c.coeffs for c in again] == [c.coeffs for c in classes]
     classes2 = k_p1_cocycle_basis(tc, 2)
     assert len(classes2) == 2
+
+
+def test_cocycle_check_is_exact_at_the_largest_prime():
+    # a class plus a random coboundary: its entries are spread over F_p,
+    # and with p near 2**31 a row of delta times it sums several products
+    # near 2**62, past what int64 holds
+    p = 2**31 - 1
+    scheme = rational_normal_curve(6, char=p)
+    rows = coboundary_rows(scheme, 2).astype(object)
+    rng = np.random.default_rng(1)
+    combo = (rng.integers(1, p, size=rows.shape[0]).astype(object) @ rows) % p
+    alpha = k_p1_cocycle_basis(scheme, 2)[0]
+    big = alpha.add(KoszulCocycle.from_vector(scheme, 2, combo))
+    assert big.is_cocycle()
+    key = next(iter(big.coeffs))
+    broken = KoszulCocycle(scheme, 2, {**big.coeffs, key: big.coeffs[key] + 1})
+    assert not broken.is_cocycle()
 
 
 def test_cocycle_vector_round_trip(tc):

@@ -210,6 +210,14 @@ def test_standard_plus_nonstandard_is_everything(r4):
         assert len(std) + len(non) == len(r4.monomials_of_degree(d))
 
 
+def test_standard_index_matches_standard_monomials(r4):
+    # either call may come first, and each fills the same cache entry
+    ideal = twisted_cubic(r4)
+    index = ideal.standard_index(3)
+    assert index == {m: i for i, m in enumerate(ideal.standard_monomials(3))}
+    assert ideal.standard_index(3) is index
+
+
 # -- Hilbert data ---------------------------------------------------------------
 
 
