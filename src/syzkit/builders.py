@@ -541,25 +541,106 @@ def model_image(
     return scheme
 
 
+# univariate polynomials over F_p: coefficient lists, constant term first,
+# with no trailing zeros (the zero polynomial is [])
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by the nonzero polynomial b."""
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        quot[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bj) % p
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def _poly_mulmod(a: list, b: list, f: list, p: int) -> list:
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_divmod(_trim(prod), f, p)[1]
+
+
+def _poly_powmod(a: list, e: int, f: list, p: int) -> list:
+    out = _poly_divmod([1], f, p)[1]
+    a = _poly_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, p)
+        a = _poly_mulmod(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd (the zero polynomial only when both are zero)."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _split_roots(g: list, p: int) -> list[int]:
+    """Roots of a monic g that is a product of distinct linear factors,
+    by equal-degree splitting: gcd(g, (z + a)^((p-1)/2) - 1) for
+    a = 0, 1, ... until a proper factor appears."""
+    if len(g) <= 1:
+        return []
+    if len(g) == 2:
+        return [-g[0] % p]
+    if p == 2:  # g divides z^2 - z, so it is z(z + 1)
+        return [0, 1]
+    for a in range(p):
+        w = _poly_powmod([a, 1], (p - 1) // 2, g, p) or [0]
+        w[0] = (w[0] - 1) % p
+        d = _poly_gcd(g, _trim(w), p)
+        if 1 < len(d) < len(g):
+            return _split_roots(d, p) + _split_roots(_poly_divmod(g, d, p)[0], p)
+    raise ConsistencyError(f"equal-degree splitting failed on {g} mod {p}")
+
+
+def _roots_mod_p(coeffs: list, p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero polynomial, ascending: split
+    gcd(f, z^p - z), the product of its distinct linear factors."""
+    f = _trim([c % p for c in coeffs])
+    zp = _poly_powmod([0, 1], p, f, p) + [0, 0]
+    zp[1] = (zp[1] - 1) % p
+    return sorted(_split_roots(_poly_gcd(f, _trim(zp), p), p))
+
+
 def plane_curve_point(model: PlaneModel, rng) -> ProjectivePoint:
-    """A point of the plane curve away from the nodes, found by scanning a
-    random pencil of lines x1 = t*x0 for roots of the restricted equation
-    (vectorized over the whole field)."""
+    """A point of the plane curve away from the nodes, found on a random
+    pencil of lines x1 = t*x0 from the roots of the restricted equation.
+
+    The roots come from gcd(f, z^p - z), so the cost does not grow with p.
+    A line that lies on the curve (possible only for a reducible curve,
+    which validation rejects) is skipped."""
     p = model.char
     f = model.curve
     node_set = {n.coords for n in model.nodes}
-    zs = np.arange(p, dtype=np.int64)
     for _ in range(64):
         t = int(rng.integers(0, p))
         # restrict to the line (1, t, z): a univariate polynomial in z
-        coeffs: dict[int, int] = {}
+        coeffs = [0] * (f.degree() + 1)
         for m, c in f.terms.items():
-            k = m[2]
-            coeffs[k] = (coeffs.get(k, 0) + c * pow(t, m[1], p)) % p
-        vals = np.zeros(p, dtype=np.int64)
-        for k in sorted(coeffs, reverse=True):
-            vals = (vals * zs + coeffs[k]) % p
-        roots = np.nonzero(vals == 0)[0]
+            coeffs[m[2]] = (coeffs[m[2]] + c * pow(t, m[1], p)) % p
+        if not any(coeffs):
+            continue
+        roots = np.array(_roots_mod_p(coeffs, p), dtype=np.int64)
         rng.shuffle(roots)
         for z in roots:
             pt = ProjectivePoint.make(p, (1, t, int(z)))

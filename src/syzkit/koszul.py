@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import SparseRows, complement_basis, kernel_basis, rref, sparse_rows
-from .polyring import DRL, EmbeddedScheme, Ideal, Polynomial
+from .polyring import EmbeddedScheme, Ideal, Polynomial
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
 
@@ -481,8 +481,6 @@ def minimal_free_resolution(
         length_bound = nv
     modules: list[list[int]] = [[0]]
     maps: list[list[list[Polynomial]]] = []
-    # every step asks for the same few degrees many times over
-    monomials = lru_cache(maxsize=None)(ring.monomials_of_degree)
 
     # generator vectors of F_s over F_{s-1}, as lists of Polynomials
     prev_gen_vectors: list[list[Polynomial]] | None = None
@@ -493,7 +491,7 @@ def minimal_free_resolution(
             # kernel pieces are just the graded pieces of the ideal,
             # in coordinates over the full monomial basis of R_d
             def kernel_piece(d: int) -> SparseRows:
-                monos = monomials(d)
+                monos = ring.monomials_of_degree(d)
                 pos = {m: i for i, m in enumerate(monos)}
                 rows = [
                     {pos[m]: c for m, c in g.terms.items()}
@@ -502,7 +500,7 @@ def minimal_free_resolution(
                 return SparseRows(rows, len(monos))
 
             def coord_layout(d: int):
-                return [(0, m) for m in monomials(d)]
+                return [(0, m) for m in ring.monomials_of_degree(d)]
 
         else:
             gen_vectors = prev_gen_vectors
@@ -510,11 +508,11 @@ def minimal_free_resolution(
             def kernel_piece(d: int, _gv=gen_vectors, _pd=prev_degrees, _ppd=modules[step - 2]) -> SparseRows:
                 cols = []
                 for j, dj in enumerate(_pd):
-                    for m in monomials(d - dj):
+                    for m in ring.monomials_of_degree(d - dj):
                         cols.append((j, m))
                 row_pos = {}
                 for i, di in enumerate(_ppd):
-                    for m in monomials(d - di):
+                    for m in ring.monomials_of_degree(d - di):
                         row_pos[(i, m)] = len(row_pos)
                 rows = [{} for _ in row_pos]
                 for ci, (j, m) in enumerate(cols):
@@ -528,7 +526,7 @@ def minimal_free_resolution(
             def coord_layout(d: int, _pd=prev_degrees):
                 out = []
                 for j, dj in enumerate(_pd):
-                    for m in monomials(d - dj):
+                    for m in ring.monomials_of_degree(d - dj):
                         out.append((j, m))
                 return out
 
@@ -538,7 +536,7 @@ def minimal_free_resolution(
             if not gb:
                 break
             # minimal generators of I are bounded by the top GB degree
-            scan_max = min(degree_bound, max(sum(max(g, key=DRL.key)) for g in gb))
+            scan_max = min(degree_bound, max(sum(lm) for lm in ideal.lead_monomials()))
         else:
             # syzygies of a minimal presentation are found well below twice
             # the top generator degree on this corpus; the Hilbert-series

@@ -7,25 +7,38 @@ orders (degrevlex inside each block).  All bases handed out (standard
 monomials, graded ideal pieces, Groebner bases) are sorted canonically so
 downstream matrix layouts are reproducible.
 
-Groebner bases are computed by Buchberger's algorithm with the coprime and
-chain criteria, then inter-reduced: the reduced GB is unique for a given
-order, which several equality tests below rely on.  Inhomogeneous inputs
-are supported (needed for ideal intersection via the t-trick); everything
-else in the package is graded.
+Groebner bases are computed by Buchberger's algorithm, then inter-reduced:
+the reduced GB is unique for a given order, which several equality tests
+below rely on.  Inhomogeneous inputs are supported (needed for ideal
+intersection via the t-trick); everything else in the package is graded.
+
+- Order keys are exact Python ints that compare as the order does and add
+  under monomial multiplication.  They pack 16 bits per exponent, so a
+  monomial of total degree DEGREE_LIMIT (2**16) or more raises BudgetError.
+- A normal form keeps its pending terms on a heap of those keys and pops
+  the largest; a reducer's shifted tail is keyed by adding one int per
+  term, and its lead, which cancels exactly, is skipped.
+- Lead terms carry a divisibility mask that rules out most non-divisors
+  before the exponents are compared, and detects coprime pairs.
+- S-pairs go through the Gebauer-Moeller update (criteria B, M and F) and
+  are taken by least lcm.
+- An Ideal caches its reduced GB together with the lead terms and keyed
+  tails, in one entry per order.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import FieldSpec, rank as matrix_rank
 
 Mono = tuple  # exponent tuple
@@ -35,14 +48,44 @@ Mono = tuple  # exponent tuple
 # term orders
 
 
+# Order keys are exact Python ints: each order packs a monomial's exponents
+# into one int that compares exactly as the order does.  Every exponent gets
+# _KEY_BITS bits, so a monomial of total degree DEGREE_LIMIT or more cannot be
+# packed and raises BudgetError instead of wrapping.  Both keys are linear in
+# the exponent vector, key(a*b) == key(a) + key(b) below the limit, which
+# the reduction loop uses to key shifted terms without packing them again.
+
+_KEY_BITS = 16
+DEGREE_LIMIT = 1 << _KEY_BITS
+
+
+def _check_degree(e: Mono) -> None:
+    d = sum(e)
+    if d >= DEGREE_LIMIT:
+        raise BudgetError(
+            f"monomial of total degree {d} is past the term-order limit "
+            f"{DEGREE_LIMIT - 1}"
+        )
+
+
+def _drl_int(e) -> int:
+    """Degree above the reversed, negated exponents (x_n most significant);
+    every exponent must be below 2**_KEY_BITS."""
+    packed = 0
+    for x in reversed(e):
+        packed = (packed << _KEY_BITS) | x
+    return (sum(e) << (_KEY_BITS * len(e))) - packed
+
+
 class DegRevLex:
     """Degree reverse lexicographic order, x0 > x1 > ... > xn."""
 
     name = "degrevlex"
 
     @staticmethod
-    def key(e: Mono):
-        return (sum(e), tuple(-x for x in reversed(e)))
+    def key(e: Mono) -> int:
+        _check_degree(e)
+        return _drl_int(e)
 
 
 class BlockOrder:
@@ -57,11 +100,13 @@ class BlockOrder:
         self.first = tuple(sorted(first))
         self.rest = tuple(i for i in range(nvars) if i not in set(first))
         self.name = f"elim{self.first}"
+        # the degrevlex int of the rest is below 2**_shift
+        self._shift = _KEY_BITS * (len(self.rest) + 1)
 
-    def key(self, e: Mono):
-        a = tuple(e[i] for i in self.first)
-        b = tuple(e[i] for i in self.rest)
-        return (DegRevLex.key(a), DegRevLex.key(b))
+    def key(self, e: Mono) -> int:
+        _check_degree(e)
+        a = _drl_int([e[i] for i in self.first])
+        return (a << self._shift) + _drl_int([e[i] for i in self.rest])
 
 
 DRL = DegRevLex()
@@ -94,24 +139,29 @@ def _mul_dict(f: dict, g: dict, p: int) -> dict:
     return out
 
 
-def _term_mul(f: dict, mono: Mono, coeff: int, p: int) -> dict:
-    return {
-        tuple(a + b for a, b in zip(m, mono)): (c * coeff) % p
-        for m, c in f.items()
-        if (c * coeff) % p
-    }
+def _divmask(m: Mono) -> int:
+    """Two bits per variable, set when its exponent is >= 1 and >= 2.
+
+    If a divides b then _divmask(a) & ~_divmask(b) == 0, so the masks rule
+    out most non-divisors before any exponent is compared; for leads of
+    degree <= 2 the mask test is exact.  Two monomials are coprime exactly
+    when their masks share no bit."""
+    mask = 0
+    for i, x in enumerate(m):
+        if x:
+            mask |= (1 if x == 1 else 3) << (2 * i)
+    return mask
 
 
-def _divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _divisor(m: Mono, mask: int, leads):
+    """The first entry of `leads` whose monomial divides m, or None.
 
-
-def _mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    Entries are tuples that start with (monomial, its _divmask); `mask` is
+    _divmask(m)."""
+    for r in leads:
+        if not r[1] & ~mask and all(map(le, r[0], m)):
+            return r
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +175,7 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 class PolyRing:
     """F_p[x_0..x_n] with named variables and the degrevlex order."""
 
-    __slots__ = ("field", "names", "nvars", "_index")
+    __slots__ = ("field", "names", "nvars", "_index", "_monos")
 
     def __init__(self, char: int | FieldSpec, names):
         self.field = char if isinstance(char, FieldSpec) else FieldSpec(char)
@@ -138,6 +188,7 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
+        self._monos: dict[int, list[Mono]] = {}
 
     @property
     def char(self) -> int:
@@ -185,17 +236,23 @@ class PolyRing:
         return Polynomial(self, clean)
 
     def monomials_of_degree(self, d: int) -> list[Mono]:
-        """All degree-d monomials, sorted degrevlex-descending."""
+        """All degree-d monomials, sorted degrevlex-descending.
+
+        Cached per degree: callers share the returned list and must not
+        modify it."""
         if d < 0:
             return []
-        out = []
-        for combo in itertools.combinations_with_replacement(range(self.nvars), d):
-            e = [0] * self.nvars
-            for i in combo:
-                e[i] += 1
-            out.append(tuple(e))
-        out.sort(key=DRL.key, reverse=True)
-        return out
+        got = self._monos.get(d)
+        if got is None:
+            got = []
+            for combo in itertools.combinations_with_replacement(range(self.nvars), d):
+                e = [0] * self.nvars
+                for i in combo:
+                    e[i] += 1
+                got.append(tuple(e))
+            got.sort(key=DRL.key, reverse=True)
+            self._monos[d] = got
+        return got
 
     # -- parsing / printing ------------------------------------------------
 
@@ -438,116 +495,182 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # normal forms and Buchberger
+#
+# A monic polynomial that reduces others is held as a reducer tuple
+# (lead, mask, key, excess, tail): its lead monomial, the lead's _divmask,
+# the lead's order key, how far the total degree of its terms rises above
+# the lead's (positive only for inhomogeneous input under a block order),
+# and its other terms as (monomial, key, coefficient) triples.
 
 
-def _normal_form_dict(h: dict, gb: list[tuple[Mono, dict]], order, p: int) -> dict:
-    """Fully reduce h against a list of monic polynomials (lead, terms)."""
-    rem: dict = {}
-    work = dict(h)
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        hit = None
-        for lm, g in gb:
-            if _divides(lm, m):
-                hit = (lm, g)
-                break
-        if hit is None:
-            rem[m] = c
+def _reducer(g: dict, order, p: int) -> tuple:
+    """The reducer tuple of a nonzero polynomial, scaled to be monic."""
+    keyed = sorted(((order.key(m), m, c) for m, c in g.items()), reverse=True)
+    return _keyed_reducer([(m, k, c) for k, m, c in keyed], p)
+
+
+def _keyed_reducer(terms: list, p: int) -> tuple:
+    """The reducer tuple of (monomial, key, coefficient) terms listed in
+    decreasing order, scaled to be monic."""
+    lead, key, c = terms[0]
+    inv = pow(c, -1, p)
+    excess = max(sum(m) for m, _, _ in terms) - sum(lead)
+    tail = [(m, k, v * inv % p) for m, k, v in terms[1:]]
+    return lead, _divmask(lead), key, excess, tail
+
+
+def _add_shifted(
+    work: dict, monos: dict, heap: list, r: tuple, q: Mono, kq: int, c: int, p: int
+) -> None:
+    """work += c * x^q * (tail of r).  Keys of the shifted terms are the tail
+    keys plus kq = key(x^q); a key new to `work` is pushed on `heap`."""
+    lead, _, _, excess, tail = r
+    if excess > 0 and sum(lead) + sum(q) + excess >= DEGREE_LIMIT:
+        raise BudgetError(
+            f"reduction would reach total degree {sum(lead) + sum(q) + excess}, "
+            f"past the term-order limit {DEGREE_LIMIT - 1}"
+        )
+    for m, k, cg in tail:
+        k += kq
+        v = work.get(k)
+        if v is None:
+            work[k] = c * cg % p
+            monos[k] = tuple(map(add, m, q))
+            heappush(heap, -k)
+        else:
+            work[k] = (v + c * cg) % p
+
+
+def _pending(terms) -> tuple[dict, dict, list]:
+    """The reduction state (work, monos, heap) of distinct (monomial, key,
+    coefficient) terms."""
+    work = {k: c for _, k, c in terms}
+    monos = {k: m for m, k, _ in terms}
+    heap = [-k for k in work]
+    heapify(heap)
+    return work, monos, heap
+
+
+def _reduce(work: dict, monos: dict, heap: list, reducers: list, p: int) -> list:
+    """Fully reduce the pending terms: `work` maps order keys to
+    coefficients, `monos` keys to monomials, and `heap` holds each key of
+    `work` once, negated.  Returns the remainder as (monomial, key,
+    coefficient) triples in decreasing order."""
+    rem = []
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k)
+        m = monos.pop(k)
+        if not c:
             continue
-        lm, g = hit
-        q = _mono_sub(m, lm)
-        work[m] = c
-        for mg, cg in g.items():
-            mm = tuple(a + b for a, b in zip(mg, q))
-            v = (work.get(mm, 0) - c * cg) % p
-            if v:
-                work[mm] = v
-            elif mm in work:
-                del work[mm]
+        r = _divisor(m, _divmask(m), reducers)
+        if r is None:
+            rem.append((m, k, c))
+        else:
+            # the reducer's lead cancels c*m exactly; only its tail is added
+            _add_shifted(work, monos, heap, r, tuple(map(sub, m, r[0])), k - r[2], p - c, p)
     return rem
+
+
+def _normal_form_dict(h: dict, reducers: list, order, p: int) -> dict:
+    """Fully reduce h against reducer tuples; terms in decreasing order."""
+    state = _pending([(m, order.key(m), c) for m, c in h.items()])
+    return {m: c for m, _, c in _reduce(*state, reducers, p)}
 
 
 def buchberger(gens: list[dict], order, p: int) -> list[dict]:
     """Reduced Groebner basis (list of monic dicts, sorted by lead term).
 
-    Classic Buchberger with the coprime-lead and chain criteria.  Accepts
-    inhomogeneous input.  The reduced basis is unique for the order, so
-    callers may compare ideals by comparing these lists.
+    Buchberger's algorithm with the Gebauer-Moeller pair update: S-pairs
+    are taken by least lcm and reduced on a heap of order keys.  Accepts inhomogeneous input.  The reduced basis is
+    unique for the order, so callers may compare ideals by comparing these
+    lists.
     """
-    inv = lambda c: pow(c, -1, p)
-    basis: list[tuple[Mono, dict]] = []
+    inputs = []
     for g in gens:
         g = {m: c % p for m, c in g.items() if c % p}
-        if not g:
-            continue
-        lm = max(g, key=order.key)
-        ci = inv(g[lm])
-        basis.append((lm, {m: (c * ci) % p for m, c in g.items()}))
+        if g:
+            inputs.append(_reducer(g, order, p))
     # deterministic starting order
-    basis.sort(key=lambda t: order.key(t[0]))
+    inputs.sort(key=lambda r: r[2])
 
-    pairs: list = []
-    done: set[tuple[int, int]] = set()
+    basis: list[tuple] = []  # every element found; pairs refer to indices
+    active: list[int] = []  # indices of a minimal basis of what is found so far
+    reducers: list[tuple] = []  # their reducer tuples
+    pairs: list[tuple] = []  # heap of (lcm key, i, j, lcm, lcm mask)
 
-    def push_pair(i, j):
-        lcm = _mono_lcm(basis[i][0], basis[j][0])
-        heapq.heappush(pairs, (order.key(lcm), i, j, lcm))
+    def update(h: int) -> None:
+        """Gebauer-Moeller: add the pairs of h that criteria M and F keep,
+        drop old pairs by criterion B, retire elements whose lead h divides."""
+        nonlocal pairs, reducers
+        lead_h, mask_h = basis[h][0], basis[h][1]
+        # criterion B: lead(h) divides the pair's lcm, and the lcm is not an
+        # lcm of h with either end
+        kept = [
+            pair
+            for pair in pairs
+            if mask_h & ~pair[4]
+            or not all(map(le, lead_h, pair[3]))
+            or tuple(map(max, basis[pair[1]][0], lead_h)) == pair[3]
+            or tuple(map(max, basis[pair[2]][0], lead_h)) == pair[3]
+        ]
+        new = []
+        for g in active:
+            lead_g, mask_g = basis[g][0], basis[g][1]
+            lcm = tuple(map(max, lead_g, lead_h))
+            new.append((lcm, _divmask(lcm), not mask_g & mask_h, g))
+        # criteria M and F: drop a new pair when another new pair, not yet
+        # dropped, has an lcm dividing its lcm (of equal lcms, one is kept).
+        # Coprime pairs take part in this filter but need no S-polynomial.
+        chosen: list = []
+        for idx, cand in enumerate(new):
+            lcm, lmask, coprime, _ = cand
+            if coprime or (
+                _divisor(lcm, lmask, chosen) is None
+                and _divisor(lcm, lmask, new[idx + 1 :]) is None
+            ):
+                chosen.append(cand)
+        kept += [
+            (order.key(lcm), g, h, lcm, lmask)
+            for lcm, lmask, coprime, g in chosen
+            if not coprime
+        ]
+        heapify(kept)
+        pairs = kept
+        active[:] = [
+            g
+            for g in active
+            if mask_h & ~basis[g][1] or not all(map(le, lead_h, basis[g][0]))
+        ]
+        active.append(h)
+        reducers = [basis[g] for g in active]
 
-    for i in range(len(basis)):
-        for j in range(i):
-            push_pair(j, i)
+    def add(rem: list) -> None:
+        if rem:
+            basis.append(_keyed_reducer(rem, p))
+            update(len(basis) - 1)
+
+    # inputs join reduced by the earlier ones, so every active lead is
+    # divisible by no other
+    for r in inputs:
+        add(_reduce(*_pending([(r[0], r[2], 1)] + r[4]), reducers, p))
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        lmi, lmj = basis[i][0], basis[j][0]
-        # coprime criterion
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k][0], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        fi, fj = basis[i][1], basis[j][1]
-        s: dict = {}
-        _add_into(s, _term_mul(fi, _mono_sub(lcm, lmi), 1, p), 1, p)
-        _add_into(s, _term_mul(fj, _mono_sub(lcm, lmj), 1, p), -1, p)
-        r = _normal_form_dict(s, basis, order, p)
-        if not r:
-            continue
-        lm = max(r, key=order.key)
-        ci = inv(r[lm])
-        basis.append((lm, {m: (c * ci) % p for m, c in r.items()}))
-        new = len(basis) - 1
-        for k in range(new):
-            push_pair(k, new)
+        key_lcm, i, j, lcm, _ = heappop(pairs)
+        work, monos, heap = _pending(())
+        ri, rj = basis[i], basis[j]
+        _add_shifted(work, monos, heap, ri, tuple(map(sub, lcm, ri[0])), key_lcm - ri[2], 1, p)
+        _add_shifted(work, monos, heap, rj, tuple(map(sub, lcm, rj[0])), key_lcm - rj[2], p - 1, p)
+        add(_reduce(work, monos, heap, reducers, p))
 
-    # reduce to the unique reduced basis: first minimalize by lead
-    # divisibility (a degree-compatible order sorted ascending guarantees a
-    # potential divisor is seen before its multiple), then tail-reduce
-    basis.sort(key=lambda t: order.key(t[0]))
-    minimal: list[tuple[Mono, dict]] = []
-    for lm, g in basis:
-        if not any(_divides(h_lm, lm) for h_lm, _ in minimal):
-            minimal.append((lm, g))
-    polys = []
-    for idx, (lm, g) in enumerate(minimal):
-        others = [minimal[k] for k in range(len(minimal)) if k != idx]
-        r = _normal_form_dict(g, others, order, p)
-        ci = inv(r[lm])
-        polys.append({m: (c * ci) % p for m, c in r.items()})
-    polys.sort(key=lambda g: order.key(max(g, key=order.key)))
-    return polys
+    # the active elements are a minimal basis; reduce their tails, smallest
+    # lead first, so each tail meets only reducers already reduced (a tail
+    # term lies below the lead, so only smaller leads can divide it)
+    done: list[tuple] = []
+    for r in sorted(reducers, key=lambda r: r[2]):
+        rem = _reduce(*_pending(r[4]), done, p)
+        done.append(_keyed_reducer([(r[0], r[2], 1)] + rem, p))
+    return [{r[0]: 1} | {m: c for m, _, c in r[4]} for r in done]
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +679,12 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
 
 def _minimalize(gens: list[Mono]) -> tuple[Mono, ...]:
     gens = sorted(set(gens), key=lambda m: (sum(m), m))
-    out = []
+    out: list[tuple[Mono, int]] = []
     for g in gens:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
+        mask = _divmask(g)
+        if _divisor(g, mask, out) is None:
+            out.append((g, mask))
+    return tuple(g for g, _ in out)
 
 
 def _hilbert_numerator(gens: tuple[Mono, ...], memo: dict) -> dict[int, int]:
@@ -679,7 +803,9 @@ class Ideal:
             if g:
                 polys.append(g)
         self.gens = tuple(polys)
-        self._gb: dict[str, list[dict]] = {}
+        # order name -> (reduced GB, its reducer tuples), stored by one
+        # assignment; the reducers carry the lead terms and their masks
+        self._gb: dict[str, tuple[list[dict], list[tuple]]] = {}
         # degree -> (standard monomials, their positions), stored by one
         # assignment so a concurrent reader never sees half an entry
         self._std: dict[int, tuple[list[Mono], dict[Mono, int]]] = {}
@@ -691,26 +817,32 @@ class Ideal:
 
     # -- Groebner ----------------------------------------------------------
 
-    def groebner(self, order=DRL) -> list[dict]:
+    def _groebner_entry(self, order) -> tuple[list[dict], list[tuple]]:
         got = self._gb.get(order.name)
         if got is None:
-            got = buchberger([g.terms for g in self.gens], order, self.ring.char)
+            p = self.ring.char
+            gb = buchberger([g.terms for g in self.gens], order, p)
+            got = (gb, [_reducer(g, order, p) for g in gb])
             self._gb[order.name] = got
         return got
+
+    def groebner(self, order=DRL) -> list[dict]:
+        return self._groebner_entry(order)[0]
 
     def groebner_polys(self, order=DRL) -> list[Polynomial]:
         return [Polynomial(self.ring, dict(g)) for g in self.groebner(order)]
 
     def lead_monomials(self, order=DRL) -> list[Mono]:
-        return [max(g, key=order.key) for g in self.groebner(order)]
+        return [r[0] for r in self._groebner_entry(order)[1]]
 
     def is_unit_ideal(self) -> bool:
-        gb = self.groebner()
-        return any(sum(max(g, key=DRL.key)) == 0 for g in gb)
+        return any(not any(r[0]) for r in self._groebner_entry(DRL)[1])
 
     def normal_form(self, f: Polynomial, order=DRL) -> Polynomial:
-        gb = [(max(g, key=order.key), g) for g in self.groebner(order)]
-        return Polynomial(self.ring, _normal_form_dict(f.terms, gb, order, self.ring.char))
+        reducers = self._groebner_entry(order)[1]
+        return Polynomial(
+            self.ring, _normal_form_dict(f.terms, reducers, order, self.ring.char)
+        )
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f).terms
@@ -737,11 +869,11 @@ class Ideal:
     def _standard(self, d: int) -> tuple[list[Mono], dict[Mono, int]]:
         got = self._std.get(d)
         if got is None:
-            leads = self.lead_monomials()
+            reducers = self._groebner_entry(DRL)[1]
             monos = [
                 m
                 for m in self.ring.monomials_of_degree(d)
-                if not any(_divides(l, m) for l in leads)
+                if _divisor(m, _divmask(m), reducers) is None
             ]
             got = (monos, {m: i for i, m in enumerate(monos)})
             self._std[d] = got
@@ -754,11 +886,11 @@ class Ideal:
         return len(self.standard_monomials(d))
 
     def nonstandard_monomials(self, d: int) -> list[Mono]:
-        leads = self.lead_monomials()
+        reducers = self._groebner_entry(DRL)[1]
         return [
             m
             for m in self.ring.monomials_of_degree(d)
-            if any(_divides(l, m) for l in leads)
+            if _divisor(m, _divmask(m), reducers) is not None
         ]
 
     def graded_basis(self, d: int) -> list[Polynomial]:
@@ -793,8 +925,7 @@ class Ideal:
             e = list(mono)
             e[var] += 1
             m2 = tuple(e)
-            leads = self.lead_monomials()
-            if not any(_divides(l, m2) for l in leads):
+            if _divisor(m2, _divmask(m2), self._groebner_entry(DRL)[1]) is None:
                 got = {m2: 1}
             else:
                 got = self.normal_form(self.ring.monomial(m2)).terms

@@ -28,11 +28,16 @@ Oracle values derived independently:
   I(D)_2 is 3-dimensional and the linear strand of D equals (3, 2, 0).
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzkit.builders import (
     PlaneModel,
+    _roots_mod_p,
     adjoint_conics,
     complete_intersection,
     en_betti,
@@ -258,6 +263,45 @@ def test_plane_curve_points_avoid_nodes(one_node):
         pt = plane_curve_point(one_node, rng)
         assert one_node.curve.evaluate(pt.coords) == 0
         assert pt.coords not in {n.coords for n in one_node.nodes}
+
+
+def test_plane_curve_points_when_powers_of_x2_are_missing():
+    # restricted to a line, this curve is a*z^4 + b: the powers z^1..z^3
+    # have no terms, and every sampled point must still lie on the curve
+    ring = PolyRing(101, ("x0", "x1", "x2"))
+    model = PlaneModel(curve=ring.parse("x0^5 + x1^5 + x0*x2^4"), nodes=[])
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        pt = plane_curve_point(model, rng)
+        assert model.curve.evaluate(pt.coords) == 0
+
+
+def test_plane_curve_point_at_the_largest_prime():
+    # the roots come from gcd(f, z^p - z): nothing is allocated per field
+    # element, so a point is found at once even at p = 2**31 - 1
+    p = 2**31 - 1
+    model = nodal_quintic(2, char=p, seed=3)
+    rng = np.random.default_rng(5)
+    start = time.perf_counter()
+    points = [plane_curve_point(model, rng) for _ in range(5)]
+    assert time.perf_counter() - start < 0.5
+    for pt in points:
+        assert model.curve.evaluate(pt.coords) == 0
+        assert pt.coords not in {n.coords for n in model.nodes}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+)
+def test_roots_mod_p_match_evaluation(p, coeffs):
+    if not any(c % p for c in coeffs):
+        return
+    expected = [
+        z for z in range(p) if sum(c * pow(z, k, p) for k, c in enumerate(coeffs)) % p == 0
+    ]
+    assert _roots_mod_p(coeffs, p) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzkit.errors import InputError
-from syzkit.exactalg import matrix_inverse
+from syzkit.errors import BudgetError, InputError
+from syzkit.exactalg import matrix_inverse, rank
 from syzkit.polyring import (
+    DEGREE_LIMIT,
     DRL,
+    BlockOrder,
     EmbeddedScheme,
     Ideal,
     PolyRing,
+    buchberger,
     format_ideal_text,
     parse_ideal_text,
 )
@@ -147,13 +151,30 @@ def test_twisted_cubic_groebner(r4):
     assert len(ideal.groebner()) == 3
 
 
+def _random_gens(ring, rng, degrees, terms):
+    """Random forms of the given degrees, each with up to `terms` terms."""
+    p = ring.char
+    gens = []
+    for d in degrees:
+        monos = ring.monomials_of_degree(d)
+        picks = rng.sample(monos, min(terms, len(monos)))
+        gens.append(ring.from_terms({m: rng.randrange(1, p) for m in picks}))
+    return gens
+
+
 def test_groebner_matches_sympy(r4):
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols("x0 x1 x2 x3")
+    rng = random.Random(7)
+    drawn = [
+        [r4.format(g) for g in _random_gens(r4, rng, degrees, 4)]
+        for degrees in [(2, 2, 2), (2, 3), (2, 2, 3)]
+    ]
     for gens in [
         ["x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"],
         ["x0^2 + x1*x3 + 3*x2^2", "x0*x1 + 2*x2*x3"],
         ["x0^3 - x1*x2*x3", "x1^2 - x0*x2"],
+        *drawn,
     ]:
         ideal = Ideal(r4, gens)
         mine = {r4.format(g) for g in ideal.groebner_polys()}
@@ -384,3 +405,154 @@ def test_nf_properties_random_quadrics(seed):
     assert ideal.contains(f - nf)
     for g in gens:
         assert ideal.contains(g * ring.var(rng.integers(0, 3)))
+
+
+# The reference route below uses the tuple form of each order and plain
+# exponent comparison, independent of the packed integer keys.
+
+
+def _tuple_drl(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _tuple_order(first, n):
+    if first is None:
+        return _tuple_drl
+    rest = [i for i in range(n) if i not in first]
+    return lambda e: (_tuple_drl([e[i] for i in first]), _tuple_drl([e[i] for i in rest]))
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _naive_normal_form(h, basis, key, p):
+    """Reduce h term by term, largest term first, by the lead terms of
+    `basis` (monic dicts)."""
+    leads = [(max(g, key=key), g) for g in basis]
+    work = dict(h)
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        hit = next(((lm, g) for lm, g in leads if _divides(lm, m)), None)
+        if hit is None:
+            rem[m] = c
+            continue
+        lm, g = hit
+        q = tuple(a - b for a, b in zip(m, lm))
+        for mg, cg in g.items():
+            mm = tuple(a + b for a, b in zip(mg, q))
+            if mm == m:
+                continue
+            v = (work.get(mm, 0) - c * cg) % p
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return rem
+
+
+def _macaulay_rows(ring, gens, d):
+    """Rows m*g, over the degree-d monomials, for the generators of degree <= d."""
+    cols = {m: i for i, m in enumerate(ring.monomials_of_degree(d))}
+    rows = []
+    for g in gens:
+        for m in ring.monomials_of_degree(d - g.degree()):
+            row = [0] * len(cols)
+            for mg, c in g.terms.items():
+                row[cols[tuple(a + b for a, b in zip(m, mg))]] = c
+            rows.append(row)
+    return rows, len(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from([2, 3, 101, 32003, 2**31 - 1]),
+    st.sampled_from(["drl", "first", "last"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_groebner_basis_by_an_independent_route(nvars, p, which, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((2, 3)) for _ in range(rng.randint(2, 4))]
+    gens = [g for g in _random_gens(ring, rng, degrees, rng.randint(2, 6)) if g]
+    first = {"drl": None, "first": (0,), "last": (nvars - 1,)}[which]
+    order = DRL if first is None else BlockOrder(first, nvars)
+    key = _tuple_order(first, nvars)
+    gb = buchberger([g.terms for g in gens], order, p)
+
+    # reduced: monic, sorted by lead, and no term of any element divisible
+    # by the lead of another
+    leads = [max(g, key=key) for g in gb]
+    assert leads == sorted(leads, key=key)
+    for g, lm in zip(gb, leads):
+        assert g[lm] == 1 and all(0 < c < p for c in g.values())
+    for i, g in enumerate(gb):
+        for j, lm in enumerate(leads):
+            if i != j:
+                assert not any(_divides(lm, m) for m in g)
+    # the generators reduce to zero
+    for g in gens:
+        assert _naive_normal_form(g.terms, gb, key, p) == {}
+    # the lead terms give the Hilbert function of the ideal, and the basis
+    # elements lie in the ideal, degree by degree
+    for d in range(max(degrees) + 3):
+        rows, ncols = _macaulay_rows(ring, gens, d)
+        r = rank(rows, p) if rows else 0
+        standard = [
+            m for m in ring.monomials_of_degree(d) if not any(_divides(lm, m) for lm in leads)
+        ]
+        assert len(standard) == ncols - r
+        for g in gb:
+            if sum(max(g, key=key)) == d and all(sum(m) == d for m in g):
+                row = [g.get(m, 0) for m in ring.monomials_of_degree(d)]
+                assert (rank(rows + [row], p) if rows else 1) == r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_order_keys_compare_as_tuples_and_add(nvars, seed):
+    rng = random.Random(seed)
+
+    def draw():
+        # small exponents, or a total degree right below the limit
+        e = [0] * nvars
+        top = rng.choice((4, DEGREE_LIMIT - 1))
+        for _ in range(rng.randint(0, 3)):
+            e[rng.randrange(nvars)] += rng.randint(0, top - sum(e))
+        return tuple(e)
+
+    a, b = draw(), draw()
+    for first in (None, (0,), (nvars - 1,)):
+        order = DRL if first is None else BlockOrder(first, nvars)
+        key = _tuple_order(first, nvars)
+        assert (order.key(a) < order.key(b)) == (key(a) < key(b))
+        assert (order.key(a) == order.key(b)) == (a == b)
+        ab = tuple(x + y for x, y in zip(a, b))
+        if sum(ab) < DEGREE_LIMIT:
+            assert order.key(ab) == order.key(a) + order.key(b)
+
+
+def test_monomials_past_the_degree_limit_are_refused():
+    # exponents at the edge of the packing still compare as the tuples do
+    top = DEGREE_LIMIT - 1
+    a, b = (0, top, 0), (top - 1, 0, 1)
+    for first in (None, (0,), (2,)):
+        order = DRL if first is None else BlockOrder(first, 3)
+        key = _tuple_order(first, 3)
+        assert (order.key(a) < order.key(b)) == (key(a) < key(b))
+    ring = PolyRing(32003, ("t", "y"))
+    for order in (DRL, BlockOrder((0,), 2)):
+        order.key((DEGREE_LIMIT - 1, 0))  # the largest degree that packs
+        with pytest.raises(BudgetError):
+            order.key((DEGREE_LIMIT, 0))
+        with pytest.raises(BudgetError):
+            order.key((1, DEGREE_LIMIT - 1))
+    with pytest.raises(BudgetError):
+        Ideal(ring, [f"t^{DEGREE_LIMIT}", "y^2"]).groebner()
+    # reducing t*y by t - y^(limit-1) would reach y^limit: refused, not wrapped
+    big = Ideal(ring, [f"t - y^{DEGREE_LIMIT - 1}", "t*y"], require_homogeneous=False)
+    with pytest.raises(BudgetError):
+        big.eliminate((0,))
