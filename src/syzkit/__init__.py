@@ -23,7 +23,6 @@ from .errors import (
     ConsistencyError,
     InputError,
     SyzkitError,
-    VerificationError,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "CROSSCHECK_CHAR",
     "SyzkitError",
     "InputError",
-    "VerificationError",
     "ConsistencyError",
     "BudgetError",
 ]

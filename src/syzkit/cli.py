@@ -40,7 +40,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import comb
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .builders import (
     scroll_types,
     validate_plane_model,
 )
-from .errors import BudgetError, InputError, VerificationError
+from .errors import BudgetError, InputError
 from .exactalg import DEFAULT_CHAR, FieldSpec, rank as matrix_rank
 from .koszul import (
     DEFAULT_ENTRY_BUDGET,
@@ -69,6 +69,7 @@ from .koszul import (
     betti_table,
     k_p1_cocycle_basis,
     koszul_dim,
+    koszul_space_dim,
     linear_strand_dim_from_ideal,
     minimal_free_resolution,
 )
@@ -89,16 +90,15 @@ from .syzgeo import (
 
 REPORT_SCHEMA_ID = "syzkit-report/1"
 
+_SCROLL_ASSUMPTION = (
+    "scrolls and rational normal curves are linearly normal and "
+    "projectively normal by construction; not re-verified"
+)
+
 # standing assumptions recorded in reports, keyed by scheme kind
 _ASSUMPTIONS = {
-    "scroll": (
-        "scrolls and rational normal curves are linearly normal and "
-        "projectively normal by construction; not re-verified"
-    ),
-    "rnc": (
-        "scrolls and rational normal curves are linearly normal and "
-        "projectively normal by construction; not re-verified"
-    ),
+    "scroll": _SCROLL_ASSUMPTION,
+    "rnc": _SCROLL_ASSUMPTION,
     "ci": (
         "complete-intersection draws assert Hilbert dimension and degree; "
         "smoothness is not certified"
@@ -131,7 +131,7 @@ class RunContext:
     entry_budget: int
     t0: float = field(default_factory=time.time)
     inputs: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
+    assumptions: set = field(default_factory=set)
     warnings: list = field(default_factory=list)
     case_timings: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
@@ -147,9 +147,8 @@ class RunContext:
         return self.cache[key]
 
     def assume(self, kind: str):
-        line = _ASSUMPTIONS.get(kind)
-        if line and line not in self.assumptions:
-            self.assumptions.append(line)
+        if kind in _ASSUMPTIONS:
+            self.assumptions.add(_ASSUMPTIONS[kind])
 
     def report(self, payload: dict) -> dict:
         return {
@@ -170,8 +169,12 @@ class RunContext:
         }
 
 
-def _print_json(report: dict):
-    print(json.dumps(report, indent=2, sort_keys=True))
+def _emit(ctx: RunContext, payload: dict, lines: list) -> None:
+    """Print the JSON report under --json, else the text lines."""
+    if ctx.json_out:
+        print(json.dumps(ctx.report(payload), indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
 
 
 def _context(args, argv) -> RunContext:
@@ -202,18 +205,39 @@ def _parse_point(text: str, char: int) -> ProjectivePoint:
     return ProjectivePoint.make(char, coords)
 
 
+# option keys each recipe kind takes, mapped to whether the key may repeat
+_RECIPE_OPTIONS = {
+    "rnc": {},
+    "scroll": {},
+    "ci": {"seed": False},
+    "plane-model": {"file": False, "adjoints": False, "cutoff": False, "node": True},
+}
+
+
 def _split_recipe(text: str):
     tokens = text.split()
     if not tokens:
         raise InputError("empty recipe")
-    positional, options = [], {}
+    kind, positional, options = tokens[0], [], {}
+    if kind not in _RECIPE_OPTIONS:
+        raise InputError(
+            f"unknown recipe kind {kind!r}; expected one of {sorted(_RECIPE_OPTIONS)}"
+        )
+    allowed = _RECIPE_OPTIONS[kind]
     for tok in tokens[1:]:
-        if "=" in tok:
-            key, value = tok.split("=", 1)
-            options.setdefault(key, []).append(value)
-        else:
+        if "=" not in tok:
             positional.append(tok)
-    return tokens[0], positional, options
+            continue
+        key, value = tok.split("=", 1)
+        if key not in allowed:
+            raise InputError(
+                f"{kind} recipe does not take {key}=; it takes "
+                f"{', '.join(k + '=' for k in allowed) or 'no options'}"
+            )
+        if key in options and not allowed[key]:
+            raise InputError(f"{kind} recipe takes {key}= at most once")
+        options.setdefault(key, []).append(value)
+    return kind, positional, options
 
 
 def _ints(values, what: str) -> list:
@@ -223,31 +247,38 @@ def _ints(values, what: str) -> list:
         raise InputError(f"{what} must be integers, got {values}") from None
 
 
-def _build_plane_model(options: dict, ctx: RunContext):
-    paths = options.get("file")
-    if not paths:
-        raise InputError("plane-model recipe needs file=<ideal file with one generator>")
-    path = paths[0]
+def _read_ideal(path: str, ctx: RunContext) -> Ideal:
+    """The ideal in a text file, noted as an input.  Its field becomes the
+    run's field unless --field-char names another."""
     try:
         text = open(path).read()
     except OSError as exc:
-        raise InputError(f"cannot read plane-model file {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
     ctx.note_input(path, text)
     ideal = parse_ideal_text(text)
+    if ideal.ring.char != ctx.char:
+        if any(a.startswith("--field-char") for a in ctx.argv):
+            raise InputError(
+                f"file {path} declares field {ideal.ring.char} but "
+                f"--field-char {ctx.char} was given"
+            )
+        ctx.char = ideal.ring.char
+    return ideal
+
+
+def _build_plane_model(positional: list, options: dict, ctx: RunContext):
+    if positional or "file" not in options:
+        raise InputError(
+            "plane-model recipe takes only options, and needs "
+            "file=<ideal file with one generator>"
+        )
+    path = options["file"][0]
+    ideal = _read_ideal(path, ctx)
     if ideal.ring.nvars != 3 or len(ideal.gens) != 1:
         raise InputError(
             "plane-model file must define exactly one generator in three variables"
         )
-    if ideal.ring.char != ctx.char:
-        if any(a.startswith("--field-char") for a in ctx.argv):
-            raise InputError(
-                f"plane-model file uses field {ideal.ring.char}, but "
-                f"--field-char {ctx.char} was given"
-            )
-        ctx.char = ideal.ring.char
-    nodes = [
-        _parse_point(v, ctx.char) for v in options.get("node", [])
-    ]
+    nodes = [_parse_point(v, ctx.char) for v in options.get("node", [])]
     model = PlaneModel(curve=ideal.gens[0], nodes=nodes)
     validate_plane_model(model)
     degree = _ints(options.get("adjoints", ["2"]), "adjoints")[0]
@@ -265,9 +296,6 @@ def _build_plane_model(options: dict, ctx: RunContext):
 def build_recipe(text: str, ctx: RunContext) -> EmbeddedScheme:
     """Construct a scheme from a recipe string (see module docstring)."""
     kind, positional, options = _split_recipe(text)
-    known = {"rnc", "scroll", "ci", "plane-model"}
-    if kind not in known:
-        raise InputError(f"unknown recipe kind {kind!r}; expected one of {sorted(known)}")
     if kind != "plane-model":
         ctx.note_input(f"recipe: {text}", text)
     if kind == "rnc":
@@ -283,7 +311,7 @@ def build_recipe(text: str, ctx: RunContext) -> EmbeddedScheme:
         seed = _ints(options.get("seed", [str(ctx.seed)]), "seed")[0]
         scheme = complete_intersection(tuple(degrees), ctx.char, seed=seed)
     else:
-        scheme = _build_plane_model(options, ctx)
+        scheme = _build_plane_model(positional, options, ctx)
     ctx.assume(scheme.labels.get("kind", "file"))
     return scheme
 
@@ -291,16 +319,7 @@ def build_recipe(text: str, ctx: RunContext) -> EmbeddedScheme:
 def load_scheme(source: str, ctx: RunContext) -> EmbeddedScheme:
     """A scheme from an ideal file path or a builder recipe string."""
     if os.path.exists(source):
-        text = open(source).read()
-        ctx.note_input(source, text)
-        ideal = parse_ideal_text(text)
-        if ctx.char != ideal.ring.char:
-            if any(a.startswith("--field-char") or a == "--field-char" for a in ctx.argv):
-                raise InputError(
-                    f"file {source} declares field {ideal.ring.char} but "
-                    f"--field-char {ctx.char} was given"
-                )
-            ctx.char = ideal.ring.char
+        ideal = _read_ideal(source, ctx)
         ctx.assume("file")
         return EmbeddedScheme(ideal, labels={"kind": "file", "path": source})
     return build_recipe(source, ctx)
@@ -354,7 +373,8 @@ def select_class(scheme: EmbeddedScheme, args, ctx: RunContext) -> KoszulCocycle
     return basis[args.class_index]
 
 
-def _random_class(basis, rng, char) -> KoszulCocycle:
+def _random_class(basis, rng) -> KoszulCocycle:
+    char = basis[0].scheme.char
     while True:
         coeffs = [int(c) for c in rng.integers(0, char, size=len(basis))]
         if any(coeffs):
@@ -363,6 +383,14 @@ def _random_class(basis, rng, char) -> KoszulCocycle:
 
 def _case_rng(seed: int, case_id: str):
     return np.random.default_rng([seed & 0xFFFFFFFF, *case_id.encode()])
+
+
+def _pick_class(basis, k: int, ctx: RunContext, cid: str) -> KoszulCocycle:
+    """Basis element k, or past the basis a random combination drawn for
+    the case."""
+    if k < len(basis):
+        return basis[k]
+    return _random_class(basis, _case_rng(ctx.seed, cid))
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +424,12 @@ def _scheme_summary(scheme: EmbeddedScheme) -> dict:
 
 
 def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    if isinstance(v, list):
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
+    if isinstance(v, np.integer):
+        return int(v)
     return v
 
 
@@ -407,24 +437,17 @@ def _jsonable(v):
 # plain computation commands
 
 
-def cmd_betti(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_betti(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     pmax = args.pmax if args.pmax is not None else scheme.ring.nvars - 1
     qmax = args.qmax if args.qmax is not None else 3
     table = betti_table(scheme, pmax, qmax, ctx.entry_budget)
     payload = {"scheme": _scheme_summary(scheme), "table": table.to_json_dict()}
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# source: {args.source}")
-        print(f"# field: {ctx.char}")
-        print(table.text())
+    _emit(ctx, payload, [f"# source: {args.source}", f"# field: {ctx.char}", table.text()])
     return 0
 
 
-def cmd_cocycles(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_cocycles(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     if args.p is None:
         raise InputError("cocycles needs --p (the wedge degree of the strand)")
@@ -435,18 +458,15 @@ def cmd_cocycles(args, argv) -> int:
         "dimension": len(basis),
         "classes": [c.to_json_dict() for c in basis],
     }
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# source: {args.source}")
-        print(f"dim K_({args.p},1) = {len(basis)}")
-        for c in basis:
-            print(json.dumps(c.to_json_dict(), sort_keys=True))
+    _emit(ctx, payload, [
+        f"# source: {args.source}",
+        f"dim K_({args.p},1) = {len(basis)}",
+        *(json.dumps(c.to_json_dict(), sort_keys=True) for c in basis),
+    ])
     return 0
 
 
-def cmd_syzscheme(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_syzscheme(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     cocycle = select_class(scheme, args, ctx)
     result = syzygy_scheme(cocycle)
@@ -469,22 +489,15 @@ def cmd_syzscheme(args, argv) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    elif not args.out:
-        print(text, end="")
-    else:
-        print(f"wrote {args.out}")
+    _emit(ctx, payload, [f"wrote {args.out}" if args.out else text.rstrip("\n")])
     return 0
 
 
-def cmd_project(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_project(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     point = _parse_point(args.point, ctx.char)
-    wants_class = args.p is not None or args.class_file
     class_payload = None
-    if wants_class:
+    if args.p is not None or args.class_file:
         cocycle = select_class(scheme, args, ctx)
         projected = project_class(cocycle, point)
         context = projected.context
@@ -509,22 +522,18 @@ def cmd_project(args, argv) -> int:
             "hilbert": {"dimension": hd.dimension, "degree": hd.degree},
         },
     }
+    lines = [
+        f"# projection of {args.source} from {point.coords}",
+        format_ideal_text(
+            context.projected.ideal,
+            [f"projected scheme: hilbert dimension {hd.dimension}, degree {hd.degree}"],
+        ).rstrip("\n"),
+    ]
     if class_payload:
         payload.update(class_payload)
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# projection of {args.source} from {point.coords}")
-        print(
-            format_ideal_text(
-                context.projected.ideal,
-                [f"projected scheme: hilbert dimension {hd.dimension}, degree {hd.degree}"],
-            ),
-            end="",
-        )
-        if class_payload:
-            print(f"# projected class survived: {class_payload['survived']}")
-            print(json.dumps(class_payload["projected_class"], sort_keys=True))
+        lines.append(f"# projected class survived: {class_payload['survived']}")
+        lines.append(json.dumps(class_payload["projected_class"], sort_keys=True))
+    _emit(ctx, payload, lines)
     return 0
 
 
@@ -548,8 +557,23 @@ def _spanning_points(scheme: EmbeddedScheme, count: int, seed: int, ctx: RunCont
     )
 
 
-def cmd_reconstruct(args, argv) -> int:
-    ctx = _context(args, argv)
+def _cones_inside(result) -> bool:
+    """Whether every cone of a reconstruction contains the syzygy scheme."""
+    syz = result.syzygy.scheme.ideal
+    return all(syz.contains_ideal(cone) for _, cone, _ in result.cones)
+
+
+def _reconstruct(cocycle: KoszulCocycle, points):
+    """Reconstruct the syzygy scheme of a class from its projections:
+    (result, saturated reconstruction, whether it equals the saturated
+    syzygy scheme, whether every cone contains the syzygy scheme)."""
+    result = reconstruct_from_projections(cocycle, points)
+    rec_sat = result.ideal.saturate_irrelevant()
+    equal = rec_sat.same_ideal(result.syzygy.scheme.ideal.saturate_irrelevant())
+    return result, rec_sat, equal, _cones_inside(result)
+
+
+def cmd_reconstruct(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     cocycle = select_class(scheme, args, ctx)
     if args.point:
@@ -557,15 +581,8 @@ def cmd_reconstruct(args, argv) -> int:
     else:
         count = args.points if args.points is not None else scheme.ring.nvars
         points = _spanning_points(scheme, count, ctx.seed, ctx)
-    result = reconstruct_from_projections(cocycle, points)
+    result, rec_sat, equal, inclusions = _reconstruct(cocycle, points)
     ctx.warnings.extend(result.warnings)
-    syz_sat = result.syzygy.scheme.ideal.saturate_irrelevant()
-    rec_sat = result.ideal.saturate_irrelevant()
-    equal = rec_sat.same_ideal(syz_sat)
-    inclusions = all(
-        all(result.syzygy.scheme.ideal.contains(g) for g in cone.gens)
-        for (_, cone, _) in result.cones
-    )
     payload = {
         "scheme": _scheme_summary(scheme),
         "class": cocycle.to_json_dict(),
@@ -575,47 +592,40 @@ def cmd_reconstruct(args, argv) -> int:
         "every_cone_contains_syzygy_scheme": inclusions,
         "reconstruction": _ideal_json(rec_sat),
     }
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# reconstruction of the syzygy scheme on: {args.source}")
-        print(f"points used: {len(points)}; cones intersected: {len(result.cones)}")
-        for w in result.warnings:
-            print(f"warning: {w}")
-        print(f"equal to the syzygy scheme (after saturation): {equal}")
-        print(f"every cone contains the syzygy scheme: {inclusions}")
+    _emit(ctx, payload, [
+        f"# reconstruction of the syzygy scheme on: {args.source}",
+        f"points used: {len(points)}; cones intersected: {len(result.cones)}",
+        *(f"warning: {w}" for w in result.warnings),
+        f"equal to the syzygy scheme (after saturation): {equal}",
+        f"every cone contains the syzygy scheme: {inclusions}",
+    ])
     return 0
 
 
-def cmd_resolve(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_resolve(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     res = minimal_free_resolution(
         scheme.ideal, degree_bound=args.degree_bound, length_bound=args.length_bound
     )
-    strand = {}
-    for (s, d), n in res.graded_betti().items():
-        strand[(s, d - s)] = n
+    graded = res.graded_betti()
     payload = {
         "scheme": _scheme_summary(scheme),
         "modules": [sorted(m) for m in res.modules],
-        "graded_betti": {f"{s},{d}": n for (s, d), n in sorted(res.graded_betti().items())},
-        "strand": _grid_json(strand),
+        "graded_betti": {f"{s},{d}": n for (s, d), n in sorted(graded.items())},
+        "strand": _grid_json({(s, d - s): n for (s, d), n in graded.items()}),
         "length": res.length(),
         "truncated": res.truncated,
     }
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# minimal free resolution of: {args.source}")
-        for s, degs in enumerate(res.modules):
-            print(f"F_{s}: rank {len(degs)}, generator degrees {sorted(degs)}")
-        print(f"length {res.length()}, truncated: {res.truncated}")
+    _emit(ctx, payload, [
+        f"# minimal free resolution of: {args.source}",
+        *(f"F_{s}: rank {len(degs)}, generator degrees {sorted(degs)}"
+          for s, degs in enumerate(res.modules)),
+        f"length {res.length()}, truncated: {res.truncated}",
+    ])
     return 0
 
 
-def cmd_build(args, argv) -> int:
-    ctx = _context(args, argv)
+def cmd_build(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
     summary = _scheme_summary(scheme)
     payload = {"scheme": summary, "ideal": _ideal_json(scheme.ideal)}
@@ -623,18 +633,15 @@ def cmd_build(args, argv) -> int:
         comments = [f"built from: {args.source}", f"labels: {json.dumps(summary['labels'], sort_keys=True)}"]
         with open(args.out, "w") as fh:
             fh.write(format_ideal_text(scheme.ideal, comments))
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        print(f"# built: {args.source}")
-        for k, v in summary["labels"].items():
-            print(f"{k}: {v}")
-        print(f"ambient: P^{scheme.ring.nvars - 1} over F_{scheme.char}")
-        hd = summary["hilbert"]
-        print(f"hilbert dimension {hd['dimension']}, degree {hd['degree']}")
-        print(f"generators by degree: {summary['generators_by_degree']}")
-        if args.out:
-            print(f"wrote {args.out}")
+    hd = summary["hilbert"]
+    _emit(ctx, payload, [
+        f"# built: {args.source}",
+        *(f"{k}: {v}" for k, v in summary["labels"].items()),
+        f"ambient: P^{scheme.ring.nvars - 1} over F_{scheme.char}",
+        f"hilbert dimension {hd['dimension']}, degree {hd['degree']}",
+        f"generators by degree: {summary['generators_by_degree']}",
+        *([f"wrote {args.out}"] if args.out else []),
+    ])
     return 0
 
 
@@ -668,144 +675,65 @@ def _check(condition: bool, expected, computed, ok_detail: str, fail_detail: str
     )
 
 
-def _delta_shape(scheme: EmbeddedScheme, p: int, q: int):
-    nv = scheme.ring.nvars
-    rows = comb(nv, p - 1) * scheme.hilbert_function(q + 1)
-    cols = comb(nv, p) * scheme.hilbert_function(q)
-    return rows, cols
+def _numbered(prefix: str, count: int, run) -> list:
+    """Cases prefix-00, prefix-01, ... for k < count, each running
+    run(case id, k)."""
+    ids = [f"{prefix}-{k:02d}" for k in range(count)]
+    return [Case(cid, partial(run, cid, k)) for k, cid in enumerate(ids)]
 
 
-def _betti_entry_cost(scheme: EmbeddedScheme, p: int, q: int) -> int:
-    """Largest matrix entry-count needed for b_{p,q} by the rank formula."""
-    cost = 0
-    for pp, qq in ((p, q), (p + 1, q - 1)):
-        rows, cols = _delta_shape(scheme, pp, qq)
-        cost = max(cost, rows * cols)
-    return cost
+# Instances shared by the suites that have a recipe, by name.  A suite's
+# other instances (scroll types, the complete intersections, the nodal
+# quintic images) are built in code from their names.
+_RECIPES = {
+    "rnc-3": "rnc 3",
+    "rnc-4": "rnc 4",
+    "scroll-1-2": "scroll 1 2",
+    "scroll-2-2": "scroll 2 2",
+}
+
+# Images of the nodal quintics drawn from --seed under their adjoint
+# conics: name -> (nodes, the nodes the conics pass through (None: all),
+# labels).  trigonal-g5 is a trigonal curve of genus 5 in P^4.
+_QUINTIC_IMAGES = {
+    "trigonal-g5": (1, None, {"model": "1-nodal quintic", "genus": 5}),
+    "genus4": (2, None, {"model": "2-nodal quintic", "genus": 4}),
+    "nodal-d": (2, [0], {"model": "2-nodal quintic, one-node adjoints"}),
+}
 
 
-def _scroll_case(e: tuple, ctx: RunContext) -> CaseResult:
-    scheme = scroll(e, ctx.char)
-    f = sum(e)
-    expected = {"q1": [en_betti(f, p) for p in range(1, f + 1)],
-                "q2": [0] * f}
-    computed: dict = {"q1": [], "q2": []}
-    skipped = []
-    for q in (1, 2):
-        for p in range(1, f + 1):
-            cost = _betti_entry_cost(scheme, p, q)
-            if cost > ctx.entry_budget:
-                computed[f"q{q}"].append(None)
-                skipped.append((p, q, cost))
-            else:
-                computed[f"q{q}"].append(koszul_dim(scheme, p, q, ctx.entry_budget))
-    warnings = [
-        f"entry ({p},{q}) skipped: needs a {cost}-entry matrix, budget {ctx.entry_budget}"
-        for (p, q, cost) in skipped
-    ]
-    pairs = [
-        (exp, got)
-        for key in ("q1", "q2")
-        for exp, got in zip(expected[key], computed[key])
-        if got is not None
-    ]
-    if not pairs:
-        return CaseResult("SKIP", "every entry exceeded the budget", expected, computed, warnings)
-    ok = all(exp == got for exp, got in pairs)
-    degree_label = f"degree {f} scroll of dimension {len(e)}"
-    return _check(
-        ok, expected, computed,
-        f"{degree_label}: all computed entries match the two-row-matrix values",
-        f"{degree_label}: computed strand differs from the two-row-matrix values",
-        warnings,
-    )
+def _quintic_image(name: str, ctx: RunContext):
+    """(model, adjoint conics, image) of a named nodal-quintic image; each
+    quintic is drawn once per run."""
+    nodes, through, labels = _QUINTIC_IMAGES[name]
+
+    def build():
+        model = ctx.cached(
+            ("nodal-quintic", nodes), lambda: nodal_quintic(nodes, ctx.char, seed=ctx.seed)
+        )
+        forms = adjoint_system(model, 2, through=through)
+        image = model_image(model, forms, labels={"kind": "plane-model-image", **labels})
+        return model, forms, image
+
+    ctx.assume("plane-model-image")
+    return ctx.cached(name, build)
 
 
-def suite_scroll_betti(ctx: RunContext, args) -> list:
-    if args.variety:
-        scheme = build_recipe(args.variety, ctx)
-        if scheme.labels.get("kind") not in ("scroll", "rnc"):
-            raise InputError("scroll-betti verifies scrolls; pass a scroll/rnc recipe")
-        types = [tuple(scheme.labels["type"])]
+def _strand_instance(name: str, recipe, ctx: RunContext):
+    """(scheme, p, canonical basis of its (p,1) strand) for an instance:
+    the top strand p = f - 1 of a degree-f scroll, or p = 2 on the
+    trigonal curve, which has no recipe."""
+    if recipe is None:
+        scheme, p = _quintic_image(name, ctx)[2], 2
     else:
-        types = scroll_types()
-    cases = []
-    for e in types:
-        cid = "scroll-betti/" + "-".join(str(v) for v in e)
-        cases.append(Case(cid, lambda e=e: _scroll_case(e, ctx)))
-    return cases
-
-
-_EP_INSTANCES = (
-    ("rnc-3", "rnc 3"),
-    ("rnc-4", "rnc 4"),
-    ("scroll-1-2", "scroll 1 2"),
-    ("scroll-2-2", "scroll 2 2"),
-)
-
-
-def _instance_scheme(recipe: str, ctx: RunContext) -> EmbeddedScheme:
-    return ctx.cached(("recipe", recipe), lambda: build_recipe(recipe, ctx))
-
-
-def _top_strand(scheme: EmbeddedScheme) -> int:
-    if scheme.labels.get("kind") not in ("scroll", "rnc"):
-        raise InputError("this suite needs scroll-type instances (pass a scroll/rnc recipe)")
-    return sum(scheme.labels["type"]) - 1
-
-
-def _ep_dim_case(recipe: str, ctx: RunContext) -> CaseResult:
-    scheme = _instance_scheme(recipe, ctx)
-    p = _top_strand(scheme)
-    f = p + 1
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
-    via_rank = koszul_dim(scheme, p, 1, ctx.entry_budget)
-    expected = f - 1
-    ok = len(basis) == expected and via_rank == expected
-    return _check(
-        ok, expected, {"cocycle_basis": len(basis), "rank_formula": via_rank},
-        f"dim K_({p},1) = {expected} by both routes",
-        f"dim K_({p},1) should be {expected}",
-    )
-
-
-def _ep_class_case(recipe: str, cid: str, ctx: RunContext) -> CaseResult:
-    scheme = _instance_scheme(recipe, ctx)
-    p = _top_strand(scheme)
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
-    alpha = _random_class(basis, _case_rng(ctx.seed, cid), scheme.char)
-    result = syzygy_scheme(alpha)
-    same = result.scheme.ideal.saturate_irrelevant().same_ideal(
-        scheme.ideal.saturate_irrelevant()
-    )
-    return _check(
-        same,
-        "saturate(Syz(alpha)) == saturated ideal of the scheme",
-        {"equal": same, "class": alpha.to_json_dict()},
-        "syzygy scheme of the sampled class equals the scheme",
-        "syzygy scheme of the sampled class DIFFERS from the scheme",
-    )
-
-
-def suite_ep(ctx: RunContext, args) -> list:
-    samples = args.samples if args.samples is not None else 10
-    instances = (
-        [(args.variety.replace(" ", "-"), args.variety)] if args.variety else list(_EP_INSTANCES)
-    )
-    cases = []
-    for name, recipe in instances:
-        cases.append(Case(f"ep/{name}/dim", lambda r=recipe: _ep_dim_case(r, ctx)))
-        for k in range(samples):
-            cid = f"ep/{name}/class-{k:02d}"
-            cases.append(Case(cid, lambda r=recipe, c=cid: _ep_class_case(r, c, ctx)))
-    return cases
-
-
-_RECONSTRUCT_INSTANCES = (
-    ("rnc-3", "rnc 3"),
-    ("rnc-4", "rnc 4"),
-    ("scroll-1-2", "scroll 1 2"),
-)
+        scheme = ctx.cached(("recipe", recipe), lambda: build_recipe(recipe, ctx))
+        if scheme.labels.get("kind") not in ("scroll", "rnc"):
+            raise InputError("this suite needs scroll-type instances (pass a scroll/rnc recipe)")
+        p = sum(scheme.labels["type"]) - 1
+    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget) if p >= 1 else []
+    if not basis:
+        raise InputError(f"the ({p},1) strand of {name} is zero; there is no class to verify")
+    return scheme, p, basis
 
 
 def _sampled_spanning(scheme: EmbeddedScheme, count: int, rng, warnings: list):
@@ -822,28 +750,103 @@ def _sampled_spanning(scheme: EmbeddedScheme, count: int, rng, warnings: list):
     return None
 
 
-def _reconstruct_case(recipe: str, cid: str, ctx: RunContext, points_flag) -> CaseResult:
-    scheme = _instance_scheme(recipe, ctx)
-    p = _top_strand(scheme)
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
+def _scroll_case(ctx: RunContext, e: tuple) -> CaseResult:
+    scheme = scroll(e, ctx.char)
+    f = sum(e)
+    expected = {"q1": [en_betti(f, p) for p in range(1, f + 1)],
+                "q2": [0] * f}
+    computed: dict = {"q1": [], "q2": []}
+    warnings = []
+    for q in (1, 2):
+        for p in range(1, f + 1):
+            # the rank formula for b_{p,q} needs delta_{p,q} and delta_{p+1,q-1}
+            cost = max(
+                koszul_space_dim(scheme, pp - 1, qq + 1) * koszul_space_dim(scheme, pp, qq)
+                for pp, qq in ((p, q), (p + 1, q - 1))
+            )
+            got = None
+            if cost > ctx.entry_budget:
+                warnings.append(
+                    f"entry ({p},{q}) skipped: needs a {cost}-entry matrix, "
+                    f"budget {ctx.entry_budget}"
+                )
+            else:
+                got = koszul_dim(scheme, p, q, ctx.entry_budget)
+            computed[f"q{q}"].append(got)
+    if len(warnings) == 2 * f:
+        return CaseResult("SKIP", "every entry exceeded the budget", expected, computed, warnings)
+    ok = all(
+        got is None or got == exp
+        for key in expected
+        for exp, got in zip(expected[key], computed[key])
+    )
+    degree_label = f"degree {f} scroll of dimension {len(e)}"
+    return _check(
+        ok, expected, computed,
+        f"{degree_label}: all computed entries match the two-row-matrix values",
+        f"{degree_label}: computed strand differs from the two-row-matrix values",
+        warnings,
+    )
+
+
+def _scroll_betti_cases(ctx: RunContext, args, instances, samples) -> list:
+    cases = []
+    for name, recipe in instances:
+        if recipe is not None:
+            scheme = build_recipe(recipe, ctx)
+            if scheme.labels.get("kind") not in ("scroll", "rnc"):
+                raise InputError("scroll-betti verifies scrolls; pass a scroll/rnc recipe")
+            name = "-".join(str(v) for v in scheme.labels["type"])
+        e = tuple(int(v) for v in name.split("-"))
+        cases.append(Case(f"scroll-betti/{name}", partial(_scroll_case, ctx, e)))
+    return cases
+
+
+def _ep_dim_case(ctx: RunContext, name: str, recipe) -> CaseResult:
+    scheme, p, basis = _strand_instance(name, recipe, ctx)
+    via_rank = koszul_dim(scheme, p, 1, ctx.entry_budget)
+    expected = p  # f - 1 on a degree-f scroll
+    ok = len(basis) == expected and via_rank == expected
+    return _check(
+        ok, expected, {"cocycle_basis": len(basis), "rank_formula": via_rank},
+        f"dim K_({p},1) = {expected} by both routes",
+        f"dim K_({p},1) should be {expected}",
+    )
+
+
+def _ep_class_case(ctx: RunContext, name: str, recipe, cid: str, k: int) -> CaseResult:
+    scheme, _, basis = _strand_instance(name, recipe, ctx)
+    alpha = _random_class(basis, _case_rng(ctx.seed, cid))
+    same = syzygy_scheme(alpha).scheme.ideal.equal_as_schemes(scheme.ideal)
+    return _check(
+        same,
+        "saturate(Syz(alpha)) == saturated ideal of the scheme",
+        {"equal": same, "class": alpha.to_json_dict()},
+        "syzygy scheme of the sampled class equals the scheme",
+        "syzygy scheme of the sampled class DIFFERS from the scheme",
+    )
+
+
+def _ep_cases(ctx: RunContext, args, instances, samples) -> list:
+    cases = []
+    for name, recipe in instances:
+        cases.append(Case(f"ep/{name}/dim", partial(_ep_dim_case, ctx, name, recipe)))
+        cases += _numbered(f"ep/{name}/class", samples, partial(_ep_class_case, ctx, name, recipe))
+    return cases
+
+
+def _reconstruct_case(ctx: RunContext, points, name: str, recipe, cid: str, k: int) -> CaseResult:
+    scheme, _, basis = _strand_instance(name, recipe, ctx)
     rng = _case_rng(ctx.seed, cid)
-    alpha = _random_class(basis, rng, scheme.char)
-    count = points_flag if points_flag is not None else scheme.ring.nvars
+    alpha = _random_class(basis, rng)
     warnings: list = []
-    pts = _sampled_spanning(scheme, count, rng, warnings)
+    pts = _sampled_spanning(scheme, points or 0, rng, warnings)
     if pts is None:
         return CaseResult("FAIL", "could not sample a spanning point set", None, None)
-    result = reconstruct_from_projections(alpha, pts)
+    result, _, equal, inclusions = _reconstruct(alpha, pts)
     warnings.extend(result.warnings)
-    syz_sat = result.syzygy.scheme.ideal.saturate_irrelevant()
-    equal = result.ideal.saturate_irrelevant().same_ideal(syz_sat)
-    inclusions = all(
-        all(result.syzygy.scheme.ideal.contains(g) for g in cone.gens)
-        for (_, cone, _) in result.cones
-    )
-    ok = equal and inclusions
     return _check(
-        ok,
+        equal and inclusions,
         {"equal": True, "every_cone_contains": True},
         {"equal": equal, "every_cone_contains": inclusions,
          "class": alpha.to_json_dict(), "points": [list(pt.coords) for pt in pts]},
@@ -853,102 +856,25 @@ def _reconstruct_case(recipe: str, cid: str, ctx: RunContext, points_flag) -> Ca
     )
 
 
-def suite_reconstruct(ctx: RunContext, args) -> list:
-    samples = args.samples if args.samples is not None else 3
-    instances = (
-        [(args.variety.replace(" ", "-"), args.variety)]
-        if args.variety
-        else list(_RECONSTRUCT_INSTANCES)
-    )
+def _reconstruct_cases(ctx: RunContext, args, instances, samples) -> list:
     cases = []
     for name, recipe in instances:
-        for k in range(samples):
-            cid = f"reconstruct/{name}/class-{k:02d}"
-            cases.append(
-                Case(cid, lambda r=recipe, c=cid: _reconstruct_case(r, c, ctx, args.points))
-            )
+        run = partial(_reconstruct_case, ctx, args.points, name, recipe)
+        cases += _numbered(f"reconstruct/{name}/class", samples, run)
     return cases
 
 
-def _trigonal_scheme(ctx: RunContext) -> EmbeddedScheme:
-    def build():
-        model = nodal_quintic(1, ctx.char, seed=ctx.seed)
-        return model_image(
-            model,
-            adjoint_system(model, 2),
-            labels={"kind": "plane-model-image", "model": "1-nodal quintic", "genus": 5},
-        )
-
-    ctx.assume("plane-model-image")
-    return ctx.cached("trigonal-g5", build)
-
-
-def _genus4_scheme(ctx: RunContext) -> EmbeddedScheme:
-    def build():
-        model = nodal_quintic(2, ctx.char, seed=ctx.seed)
-        return model_image(
-            model,
-            adjoint_system(model, 2),
-            labels={"kind": "plane-model-image", "model": "2-nodal quintic", "genus": 4},
-        )
-
-    ctx.assume("plane-model-image")
-    return ctx.cached("genus4-nodal-image", build)
-
-
-def _nodal_d_schemes(ctx: RunContext):
-    def build():
-        model = nodal_quintic(2, ctx.char, seed=ctx.seed)
-        forms = adjoint_system(model, 2, through=[0])
-        image = model_image(
-            model,
-            forms,
-            labels={"kind": "plane-model-image",
-                    "model": "2-nodal quintic, one-node adjoints"},
-        )
-        return model, forms, image
-
-    ctx.assume("plane-model-image")
-    return ctx.cached("nodal-d", build)
-
-
-_INC_SYZ_INSTANCES = (
-    ("rnc-3", "rnc 3"),
-    ("rnc-4", "rnc 4"),
-    ("scroll-1-2", "scroll 1 2"),
-    ("scroll-2-2", "scroll 2 2"),
-    ("trigonal-g5", None),
-)
-
-
-def _inc_instance(name: str, recipe, ctx: RunContext):
-    if recipe is not None:
-        scheme = _instance_scheme(recipe, ctx)
-        return scheme, _top_strand(scheme), None
-    scheme = _trigonal_scheme(ctx)
-    return scheme, 2, quadric_hull(scheme)
-
-
-def _containment_case(name, recipe, cid, which, ctx: RunContext) -> CaseResult:
-    scheme, p, hull = _inc_instance(name, recipe, ctx)
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
-    if which < len(basis):
-        alpha = basis[which]
-        origin = f"basis class {which}"
-    else:
-        cid_rng = _case_rng(ctx.seed, cid)
-        alpha = _random_class(basis, cid_rng, scheme.char)
-        origin = "random combination"
-    syz = syzygy_scheme(alpha)
-    contains_scheme = all(scheme.ideal.contains(g) for g in syz.scheme.ideal.gens)
-    hull_ok = True
-    if hull is not None:
-        hull_ok = all(hull.ideal.contains(g) for g in syz.scheme.ideal.gens)
-    ok = contains_scheme and hull_ok
-    computed = {"scheme_inside_syzygy_scheme": contains_scheme,
-                "class": alpha.to_json_dict()}
-    if hull is not None:
+def _containment_case(ctx: RunContext, name: str, recipe, cid: str, k: int) -> CaseResult:
+    scheme, _, basis = _strand_instance(name, recipe, ctx)
+    alpha = _pick_class(basis, k, ctx, cid)
+    origin = f"basis class {k}" if k < len(basis) else "random combination"
+    syz = syzygy_scheme(alpha).scheme.ideal
+    ok = scheme.ideal.contains_ideal(syz)
+    computed = {"scheme_inside_syzygy_scheme": ok, "class": alpha.to_json_dict()}
+    if recipe is None:  # the trigonal curve: its quadric hull lies inside too
+        hull_ok = quadric_hull(scheme).ideal.contains_ideal(syz)
         computed["hull_inside_syzygy_scheme"] = hull_ok
+        ok = ok and hull_ok
     return _check(
         ok, "every syzygy-scheme generator lies in the instance ideal(s)", computed,
         f"{origin}: containments hold",
@@ -956,24 +882,19 @@ def _containment_case(name, recipe, cid, which, ctx: RunContext) -> CaseResult:
     )
 
 
-def _cone_case(name, recipe, cid, ctx: RunContext) -> CaseResult:
-    scheme, p, _ = _inc_instance(name, recipe, ctx)
+def _cone_case(ctx: RunContext, name: str, recipe, cid: str) -> CaseResult:
+    scheme, p, basis = _strand_instance(name, recipe, ctx)
     if p < 2:
         return CaseResult("SKIP", "projection needs p >= 2", None, None)
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
     rng = _case_rng(ctx.seed, cid)
-    alpha = _random_class(basis, rng, scheme.char)
-    syz = syzygy_scheme(alpha)
+    alpha = _random_class(basis, rng)
     warnings: list = []
     pts = _sampled_spanning(scheme, scheme.ring.nvars, rng, warnings)
     if pts is None:
         return CaseResult("FAIL", "could not sample a spanning point set", None, None)
     result = reconstruct_from_projections(alpha, pts)
+    inclusions = _cones_inside(result)
     warnings.extend(result.warnings)
-    inclusions = all(
-        all(syz.scheme.ideal.contains(g) for g in cone.gens)
-        for (_, cone, _) in result.cones
-    )
     checked = len(result.cones)
     if checked == 0:
         return CaseResult(
@@ -989,23 +910,16 @@ def _cone_case(name, recipe, cid, ctx: RunContext) -> CaseResult:
     )
 
 
-def suite_inc_syz(ctx: RunContext, args) -> list:
-    samples = args.samples if args.samples is not None else 3
-    if args.variety:
-        instances = [(args.variety.replace(" ", "-"), args.variety)]
-    else:
-        instances = list(_INC_SYZ_INSTANCES)
+def _inc_syz_cases(ctx: RunContext, args, instances, samples) -> list:
     cases = []
     for name, recipe in instances:
-        scheme, p, _ = _inc_instance(name, recipe, ctx)
-        width = len(k_p1_cocycle_basis(scheme, p, ctx.entry_budget))
-        for k in range(width + samples):
-            cid = f"inc-syz/{name}/class-{k:02d}"
-            cases.append(
-                Case(cid, lambda n=name, r=recipe, c=cid, w=k: _containment_case(n, r, c, w, ctx))
-            )
+        width = len(_strand_instance(name, recipe, ctx)[2])
+        cases += _numbered(
+            f"inc-syz/{name}/class", width + samples,
+            partial(_containment_case, ctx, name, recipe),
+        )
         cid = f"inc-syz/{name}/cones"
-        cases.append(Case(cid, lambda n=name, r=recipe, c=cid: _cone_case(n, r, c, ctx)))
+        cases.append(Case(cid, partial(_cone_case, ctx, name, recipe, cid)))
     return cases
 
 
@@ -1014,19 +928,19 @@ _GREEN_GRIDS = {
     "genus5-ci": {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1},
     "trigonal-g5": {(0, 0): 1, (1, 1): 3, (2, 1): 2, (1, 2): 2, (2, 2): 3, (3, 3): 1},
 }
+_GREEN_CI_DEGREES = {"genus4-ci": (2, 3), "genus5-ci": (2, 2, 2)}
 
 
 def _green_instance(name: str, ctx: RunContext) -> EmbeddedScheme:
-    if name == "genus4-ci":
-        ctx.assume("ci")
-        return ctx.cached(name, lambda: complete_intersection((2, 3), ctx.char, seed=ctx.seed))
-    if name == "genus5-ci":
-        ctx.assume("ci")
-        return ctx.cached(name, lambda: complete_intersection((2, 2, 2), ctx.char, seed=ctx.seed))
-    return _trigonal_scheme(ctx)
+    if name not in _GREEN_CI_DEGREES:
+        return _quintic_image(name, ctx)[2]
+    ctx.assume("ci")
+    return ctx.cached(
+        name, lambda: complete_intersection(_GREEN_CI_DEGREES[name], ctx.char, seed=ctx.seed)
+    )
 
 
-def _green_table_case(name: str, ctx: RunContext) -> CaseResult:
+def _green_table_case(ctx: RunContext, name: str) -> CaseResult:
     scheme = _green_instance(name, ctx)
     expected = _GREEN_GRIDS[name]
     pmax = max(p for p, _ in expected)
@@ -1040,7 +954,7 @@ def _green_table_case(name: str, ctx: RunContext) -> CaseResult:
     )
 
 
-def _green_strand_case(name: str, ctx: RunContext) -> CaseResult:
+def _green_strand_case(ctx: RunContext, name: str) -> CaseResult:
     scheme = _green_instance(name, ctx)
     expected = _GREEN_GRIDS[name]
     checks = {}
@@ -1058,19 +972,17 @@ def _green_strand_case(name: str, ctx: RunContext) -> CaseResult:
     )
 
 
-def _green_hull_case(cid: str, ctx: RunContext) -> CaseResult:
-    scheme = _trigonal_scheme(ctx)
+def _green_hull_case(ctx: RunContext, cid: str) -> CaseResult:
+    scheme, _, basis = _strand_instance("trigonal-g5", None, ctx)
     hull = quadric_hull(scheme)
     ctx.assume("quadric-hull")
-    basis = k_p1_cocycle_basis(scheme, 2, ctx.entry_budget)
     rng = _case_rng(ctx.seed, cid)
-    classes = list(basis) + [_random_class(basis, rng, scheme.char) for _ in range(3)]
-    bad = None
-    for i, alpha in enumerate(classes):
-        syz = syzygy_scheme(alpha)
-        if not all(hull.ideal.contains(g) for g in syz.scheme.ideal.gens):
-            bad = i
-            break
+    classes = list(basis) + [_random_class(basis, rng) for _ in range(3)]
+    bad = next(
+        (i for i, alpha in enumerate(classes)
+         if not hull.ideal.contains_ideal(syzygy_scheme(alpha).scheme.ideal)),
+        None,
+    )
     hd = hull.ideal.hilbert_data()
     ok = bad is None and (hd.dimension, hd.degree) == (2, 3)
     return _check(
@@ -1083,21 +995,17 @@ def _green_hull_case(cid: str, ctx: RunContext) -> CaseResult:
     )
 
 
-def suite_green_small(ctx: RunContext, args) -> list:
-    if args.variety:
-        raise InputError("green-small runs a fixed corpus; --variety is not accepted")
+def _green_cases(ctx: RunContext, args, instances, samples) -> list:
     cases = []
-    for name in ("genus4-ci", "genus5-ci", "trigonal-g5"):
-        cases.append(Case(f"green-small/{name}/table", lambda n=name: _green_table_case(n, ctx)))
-        cases.append(Case(f"green-small/{name}/strand", lambda n=name: _green_strand_case(n, ctx)))
-    cases.append(
-        Case("green-small/trigonal-g5/hull", lambda: _green_hull_case("green-small/trigonal-g5/hull", ctx))
-    )
-    return cases
+    for name, _ in instances:
+        cases.append(Case(f"green-small/{name}/table", partial(_green_table_case, ctx, name)))
+        cases.append(Case(f"green-small/{name}/strand", partial(_green_strand_case, ctx, name)))
+    cid = "green-small/trigonal-g5/hull"
+    return cases + [Case(cid, partial(_green_hull_case, ctx, cid))]
 
 
 def _nodal_quadrics_case(ctx: RunContext) -> CaseResult:
-    model, forms, image = _nodal_d_schemes(ctx)
+    model, forms, image = _quintic_image("nodal-d", ctx)
     via_kernel = implicitize_kernel(model, forms)
     via_elim = implicitize_eliminate(model, forms)
     routes_agree = via_kernel.same_ideal(via_elim)
@@ -1114,7 +1022,7 @@ def _nodal_quadrics_case(ctx: RunContext) -> CaseResult:
 
 
 def _nodal_strand_case(ctx: RunContext) -> CaseResult:
-    _, _, image = _nodal_d_schemes(ctx)
+    image = _quintic_image("nodal-d", ctx)[2]
     hull = quadric_hull(image)
     ctx.assume("quadric-hull")
     row_image = [koszul_dim(image, p, 1, ctx.entry_budget) for p in (1, 2, 3)]
@@ -1130,10 +1038,8 @@ def _nodal_strand_case(ctx: RunContext) -> CaseResult:
 
 
 def _nodal_vanishing_case(ctx: RunContext) -> CaseResult:
-    _, _, image = _nodal_d_schemes(ctx)
-    genus4 = _genus4_scheme(ctx)
-    k31_d = koszul_dim(image, 3, 1, ctx.entry_budget)
-    k21_c = koszul_dim(genus4, 2, 1, ctx.entry_budget)
+    k31_d = koszul_dim(_quintic_image("nodal-d", ctx)[2], 3, 1, ctx.entry_budget)
+    k21_c = koszul_dim(_quintic_image("genus4", ctx)[2], 2, 1, ctx.entry_budget)
     ok = k31_d == 0 and k21_c == 0
     return _check(
         ok, {"K_3,1(D)": 0, "K_2,1(C)": 0},
@@ -1144,13 +1050,10 @@ def _nodal_vanishing_case(ctx: RunContext) -> CaseResult:
 
 
 def _nodal_genus_case(ctx: RunContext) -> CaseResult:
-    _, _, image = _nodal_d_schemes(ctx)
-    genus4 = _genus4_scheme(ctx)
-    hd_d = image.ideal.hilbert_data()
-    hd_c = genus4.ideal.hilbert_data()
-    pa_d = 1 - hd_d(0)
-    pa_c = 1 - hd_c(0)
-    got = {"D": [hd_d.dimension, hd_d.degree, pa_d], "C": [hd_c.dimension, hd_c.degree, pa_c]}
+    hd_d = _quintic_image("nodal-d", ctx)[2].ideal.hilbert_data()
+    hd_c = _quintic_image("genus4", ctx)[2].ideal.hilbert_data()
+    got = {"D": [hd_d.dimension, hd_d.degree, 1 - hd_d(0)],
+           "C": [hd_c.dimension, hd_c.degree, 1 - hd_c(0)]}
     want = {"D": [1, 8, 5], "C": [1, 6, 4]}
     return _check(
         got == want, want, got,
@@ -1159,37 +1062,20 @@ def _nodal_genus_case(ctx: RunContext) -> CaseResult:
     )
 
 
-def suite_nodal_iso(ctx: RunContext, args) -> list:
-    if args.variety:
-        raise InputError("nodal-iso runs a fixed corpus; --variety is not accepted")
+def _nodal_iso_cases(ctx: RunContext, args, instances, samples) -> list:
     return [
-        Case("nodal-iso/genus-bookkeeping", lambda: _nodal_genus_case(ctx)),
-        Case("nodal-iso/linear-strand", lambda: _nodal_strand_case(ctx)),
-        Case("nodal-iso/quadrics-match", lambda: _nodal_quadrics_case(ctx)),
-        Case("nodal-iso/vanishing-transfer", lambda: _nodal_vanishing_case(ctx)),
+        Case("nodal-iso/genus-bookkeeping", partial(_nodal_genus_case, ctx)),
+        Case("nodal-iso/linear-strand", partial(_nodal_strand_case, ctx)),
+        Case("nodal-iso/quadrics-match", partial(_nodal_quadrics_case, ctx)),
+        Case("nodal-iso/vanishing-transfer", partial(_nodal_vanishing_case, ctx)),
     ]
 
 
-_APRODU_INSTANCES = (
-    ("rnc-3", "rnc 3"),
-    ("rnc-4", "rnc 4"),
-    ("scroll-1-2", "scroll 1 2"),
-    ("scroll-2-2", "scroll 2 2"),
-    ("trigonal-g5", None),
-)
-
-
-def _membership_case(name, recipe, cid, ctx: RunContext, points_flag) -> CaseResult:
-    if recipe is not None:
-        scheme = _instance_scheme(recipe, ctx)
-        p = _top_strand(scheme)
-    else:
-        scheme = _trigonal_scheme(ctx)
-        p = 2
-    basis = k_p1_cocycle_basis(scheme, p, ctx.entry_budget)
+def _membership_case(ctx: RunContext, points, name: str, recipe, cid: str) -> CaseResult:
+    scheme, _, basis = _strand_instance(name, recipe, ctx)
     rng = _case_rng(ctx.seed, cid)
-    alpha = _random_class(basis, rng, scheme.char)
-    total = points_flag if points_flag is not None else 25
+    alpha = _random_class(basis, rng)
+    total = points if points is not None else 25
     on_count = (total + 1) // 2
     pts = sample_points(scheme, on_count, int(rng.integers(1 << 30)))
     nv = scheme.ring.nvars
@@ -1202,16 +1088,13 @@ def _membership_case(name, recipe, cid, ctx: RunContext, points_flag) -> CaseRes
         if not scheme.contains(pt.coords):
             off_pts.append(pt)
     members = 0
-    non_members = 0
     on_scheme_all_members = True
     for pt in list(pts) + off_pts:
         res = syz_membership(alpha, pt)  # raises ConsistencyError on route splits
-        if res.member:
-            members += 1
-        else:
-            non_members += 1
-            if res.point_on_scheme:
-                on_scheme_all_members = False
+        members += res.member
+        if not res.member and res.point_on_scheme:
+            on_scheme_all_members = False
+    non_members = total - members
     computed = {
         "points": total,
         "members": members,
@@ -1227,23 +1110,16 @@ def _membership_case(name, recipe, cid, ctx: RunContext, points_flag) -> CaseRes
     )
 
 
-def suite_aprodu_proj(ctx: RunContext, args) -> list:
-    instances = (
-        [(args.variety.replace(" ", "-"), args.variety)]
-        if args.variety
-        else list(_APRODU_INSTANCES)
-    )
-    cases = []
-    for name, recipe in instances:
-        cid = f"aprodu-proj/{name}"
-        cases.append(
-            Case(cid, lambda n=name, r=recipe, c=cid: _membership_case(n, r, c, ctx, args.points))
-        )
-    return cases
+def _aprodu_cases(ctx: RunContext, args, instances, samples) -> list:
+    return [
+        Case(f"aprodu-proj/{name}",
+             partial(_membership_case, ctx, args.points, name, recipe, f"aprodu-proj/{name}"))
+        for name, recipe in instances
+    ]
 
 
 def _schreyer_value_case(ctx: RunContext) -> CaseResult:
-    scheme = _trigonal_scheme(ctx)
+    scheme = _quintic_image("trigonal-g5", ctx)[2]
     rank_route = koszul_dim(scheme, 2, 1, ctx.entry_budget)
     ideal_route = linear_strand_dim_from_ideal(scheme, 2)
     expected = 2  # genus 5, gonality 3
@@ -1255,19 +1131,15 @@ def _schreyer_value_case(ctx: RunContext) -> CaseResult:
     )
 
 
-def _schreyer_scroll_case(cid: str, which: int, ctx: RunContext) -> CaseResult:
-    scheme = _trigonal_scheme(ctx)
+def _schreyer_scroll_case(ctx: RunContext, cid: str, k: int) -> CaseResult:
+    scheme, _, basis = _strand_instance("trigonal-g5", None, ctx)
     hull = quadric_hull(scheme)
     ctx.assume("quadric-hull")
-    basis = k_p1_cocycle_basis(scheme, 2, ctx.entry_budget)
-    if which < len(basis):
-        alpha = basis[which]
-    else:
-        alpha = _random_class(basis, _case_rng(ctx.seed, cid), scheme.char)
-    syz = syzygy_scheme(alpha)
-    hd = syz.scheme.ideal.hilbert_data()
-    contains_curve = all(scheme.ideal.contains(g) for g in syz.scheme.ideal.gens)
-    equals_hull = syz.scheme.ideal.same_ideal(hull.ideal)
+    alpha = _pick_class(basis, k, ctx, cid)
+    syz = syzygy_scheme(alpha).scheme.ideal
+    hd = syz.hilbert_data()
+    contains_curve = scheme.ideal.contains_ideal(syz)
+    equals_hull = syz.same_ideal(hull.ideal)
     ok = (hd.dimension, hd.degree) == (2, 3) and contains_curve and equals_hull
     return _check(
         ok,
@@ -1280,7 +1152,7 @@ def _schreyer_scroll_case(cid: str, which: int, ctx: RunContext) -> CaseResult:
 
 
 def _schreyer_genus4_case(ctx: RunContext) -> CaseResult:
-    scheme = _genus4_scheme(ctx)
+    scheme = _quintic_image("genus4", ctx)[2]
     basis = k_p1_cocycle_basis(scheme, 1, ctx.entry_budget)
     hull = quadric_hull(scheme)
     ctx.assume("quadric-hull")
@@ -1299,12 +1171,10 @@ def _schreyer_genus4_case(ctx: RunContext) -> CaseResult:
 
 
 def _schreyer_nodal_case(ctx: RunContext) -> CaseResult:
-    _, _, image = _nodal_d_schemes(ctx)
-    genus4 = _genus4_scheme(ctx)
+    image = _quintic_image("nodal-d", ctx)[2]
     b21_d = koszul_dim(image, 2, 1, ctx.entry_budget)
-    hull = quadric_hull(image)
-    hd = hull.ideal.hilbert_data()
-    k21_c = koszul_dim(genus4, 2, 1, ctx.entry_budget)
+    hd = quadric_hull(image).ideal.hilbert_data()
+    k21_c = koszul_dim(_quintic_image("genus4", ctx)[2], 2, 1, ctx.entry_budget)
     ok = b21_d == 2 and (hd.dimension, hd.degree) == (2, 3) and k21_c == 0
     return _check(
         ok,
@@ -1315,30 +1185,41 @@ def _schreyer_nodal_case(ctx: RunContext) -> CaseResult:
     )
 
 
-def suite_schreyer_converse(ctx: RunContext, args) -> list:
-    if args.variety:
-        raise InputError("schreyer-converse runs a fixed corpus; --variety is not accepted")
-    samples = args.samples if args.samples is not None else 3
-    cases = [
-        Case("schreyer-converse/trigonal-g5/value", lambda: _schreyer_value_case(ctx)),
-        Case("schreyer-converse/genus4/quadric", lambda: _schreyer_genus4_case(ctx)),
-        Case("schreyer-converse/nodal-implication", lambda: _schreyer_nodal_case(ctx)),
+def _schreyer_cases(ctx: RunContext, args, instances, samples) -> list:
+    return [
+        Case("schreyer-converse/trigonal-g5/value", partial(_schreyer_value_case, ctx)),
+        Case("schreyer-converse/genus4/quadric", partial(_schreyer_genus4_case, ctx)),
+        Case("schreyer-converse/nodal-implication", partial(_schreyer_nodal_case, ctx)),
+        *_numbered(
+            "schreyer-converse/trigonal-g5/scroll", 2 + samples,
+            partial(_schreyer_scroll_case, ctx),
+        ),
     ]
-    for k in range(2 + samples):
-        cid = f"schreyer-converse/trigonal-g5/scroll-{k:02d}"
-        cases.append(Case(cid, lambda c=cid, w=k: _schreyer_scroll_case(c, w, ctx)))
-    return cases
 
+
+@dataclass(frozen=True)
+class Suite:
+    cases: object  # (ctx, args, [(instance name, recipe or None)], samples) -> [Case]
+    corpus: tuple = ()  # instance names, when --variety does not replace them
+    samples: int = 0  # default --samples
+    variety: bool = True  # whether --variety may replace the corpus
+
+
+_SCROLLS = ("rnc-3", "rnc-4", "scroll-1-2", "scroll-2-2")
 
 SUITES = {
-    "scroll-betti": suite_scroll_betti,
-    "ep": suite_ep,
-    "reconstruct": suite_reconstruct,
-    "inc-syz": suite_inc_syz,
-    "green-small": suite_green_small,
-    "nodal-iso": suite_nodal_iso,
-    "aprodu-proj": suite_aprodu_proj,
-    "schreyer-converse": suite_schreyer_converse,
+    "scroll-betti": Suite(
+        _scroll_betti_cases, tuple("-".join(map(str, e)) for e in scroll_types())
+    ),
+    "ep": Suite(_ep_cases, _SCROLLS, samples=10),
+    "reconstruct": Suite(_reconstruct_cases, _SCROLLS[:3], samples=3),
+    "inc-syz": Suite(_inc_syz_cases, (*_SCROLLS, "trigonal-g5"), samples=3),
+    "green-small": Suite(
+        _green_cases, ("genus4-ci", "genus5-ci", "trigonal-g5"), variety=False
+    ),
+    "nodal-iso": Suite(_nodal_iso_cases, variety=False),
+    "aprodu-proj": Suite(_aprodu_cases, (*_SCROLLS, "trigonal-g5")),
+    "schreyer-converse": Suite(_schreyer_cases, samples=3, variety=False),
 }
 
 
@@ -1358,18 +1239,27 @@ def _replay_command(suite: str, case_id: str, ctx: RunContext, args) -> str:
     return " ".join(parts)
 
 
-def cmd_verify(args, argv) -> int:
-    ctx = _context(args, argv)
-    suite_fn = SUITES.get(args.suite)
-    if suite_fn is None:
+def cmd_verify(args, ctx: RunContext) -> int:
+    suite = SUITES.get(args.suite)
+    if suite is None:
         raise InputError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
-    cases = suite_fn(ctx, args)
-    if args.case:
-        cases = [c for c in cases if c.id == args.case]
-        if not cases:
-            raise InputError(f"no case named {args.case!r} in suite {args.suite}")
+    if args.variety and not suite.variety:
+        raise InputError(f"{args.suite} runs a fixed corpus; --variety is not accepted")
+    if args.variety:
+        instances = [(args.variety.replace(" ", "-"), args.variety)]
+    else:
+        instances = [(name, _RECIPES.get(name)) for name in suite.corpus]
+    samples = args.samples if args.samples is not None else suite.samples
+    cases = [
+        c for c in suite.cases(ctx, args, instances, samples)
+        if not args.case or c.id == args.case
+    ]
+    if not cases:
+        raise InputError(
+            f"no cases selected in suite {args.suite} (check --case and --samples)"
+        )
     cases.sort(key=lambda c: c.id)
 
     def timed(case: Case):
@@ -1385,24 +1275,27 @@ def cmd_verify(args, argv) -> int:
     outcomes.sort(key=lambda t: t[0])
 
     case_payloads = []
-    counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
-    first_failure = None
+    lines = []
     for cid, result, elapsed in outcomes:
         ctx.case_timings[cid] = elapsed
-        counts[result.status] += 1
         entry = {
             "id": cid,
             "status": result.status,
             "detail": result.detail,
-            "expected": _jsonable_deep(result.expected),
-            "computed": _jsonable_deep(result.computed),
+            "expected": _jsonable(result.expected),
+            "computed": _jsonable(result.computed),
             "warnings": list(result.warnings),
             "replay": _replay_command(args.suite, cid, ctx, args),
         }
         case_payloads.append(entry)
+        lines.append(f"{result.status:4} {cid} — {result.detail}")
+        lines += [f"     warning: {w}" for w in result.warnings]
         ctx.warnings.extend(f"{cid}: {w}" for w in result.warnings)
-        if result.status == "FAIL" and first_failure is None:
-            first_failure = entry
+    counts = {
+        status: sum(r.status == status for _, r, _ in outcomes)
+        for status in ("PASS", "FAIL", "SKIP")
+    }
+    first_failure = next((e for e in case_payloads if e["status"] == "FAIL"), None)
     verdict = "PASS" if counts["FAIL"] == 0 else "FAIL"
     payload = {
         "suite": args.suite,
@@ -1415,36 +1308,34 @@ def cmd_verify(args, argv) -> int:
         },
         "cases": case_payloads,
     }
-    if ctx.json_out:
-        _print_json(ctx.report(payload))
-    else:
-        for entry in case_payloads:
-            print(f"{entry['status']:4} {entry['id']} — {entry['detail']}")
-            for w in entry["warnings"]:
-                print(f"     warning: {w}")
-        total = time.time() - ctx.t0
-        print(
-            f"suite {args.suite}: {verdict} — {counts['PASS']}/{len(outcomes)} passed, "
-            f"{counts['SKIP']} skipped ({total:.1f}s)"
-        )
-        if first_failure is not None:
-            print("first divergent case, serialized for replay:")
-            print(json.dumps(first_failure, indent=2, sort_keys=True))
+    lines.append(
+        f"suite {args.suite}: {verdict} — {counts['PASS']}/{len(outcomes)} passed, "
+        f"{counts['SKIP']} skipped ({time.time() - ctx.t0:.1f}s)"
+    )
+    if first_failure is not None:
+        lines.append("first divergent case, serialized for replay:")
+        lines.append(json.dumps(first_failure, indent=2, sort_keys=True))
+    _emit(ctx, payload, lines)
     return 0 if verdict == "PASS" else 1
-
-
-def _jsonable_deep(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable_deep(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable_deep(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1504,7 +1395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", parents=[common, classsel],
                            help="reconstruct a syzygy scheme from projections")
     p_rec.add_argument("source")
-    p_rec.add_argument("--points", type=int, default=None,
+    p_rec.add_argument("--points", type=_at_least(1), default=None,
                        help="how many points to sample (default: ambient dimension + 1)")
     p_rec.add_argument("--point", action="append", default=None, metavar="A,B,...",
                        help="explicit point (repeatable; overrides sampling)")
@@ -1513,8 +1404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = sub.add_parser("resolve", parents=[common],
                            help="minimal free resolution (independent oracle)")
     p_res.add_argument("source")
-    p_res.add_argument("--degree-bound", type=int, default=10)
-    p_res.add_argument("--length-bound", type=int, default=None)
+    p_res.add_argument("--degree-bound", type=_at_least(0), default=10)
+    p_res.add_argument("--length-bound", type=_at_least(0), default=None)
     p_res.set_defaults(handler=cmd_resolve)
 
     p_build = sub.add_parser("build", parents=[common],
@@ -1528,9 +1419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p_ver.add_argument("--variety", type=str, default=None,
                        help="recipe overriding the suite's default corpus (where accepted)")
-    p_ver.add_argument("--samples", type=int, default=None,
+    p_ver.add_argument("--samples", type=_at_least(0), default=None,
                        help="pseudorandom classes per instance (suite-specific default)")
-    p_ver.add_argument("--points", type=int, default=None,
+    p_ver.add_argument("--points", type=_at_least(1), default=None,
                        help="points per instance (suite-specific default)")
     p_ver.add_argument("--case", type=str, default=None,
                        help="run a single case by id (replay)")
@@ -1548,16 +1439,10 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.handler(args, argv)
-    except InputError as exc:
+        return args.handler(args, _context(args, argv))
+    except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

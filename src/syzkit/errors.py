@@ -1,7 +1,7 @@
 """Shared exception types.
 
-The CLI maps these to exit codes: InputError -> 2, VerificationError -> 1,
-everything else is a genuine crash and propagates.
+The CLI maps InputError and BudgetError to exit code 2; everything else is
+a genuine crash and propagates.
 """
 
 
@@ -11,10 +11,6 @@ class SyzkitError(Exception):
 
 class InputError(SyzkitError, ValueError):
     """Malformed input: bad files, bad flags, violated preconditions."""
-
-
-class VerificationError(SyzkitError):
-    """A verification run found at least one divergent case."""
 
 
 class ConsistencyError(SyzkitError):

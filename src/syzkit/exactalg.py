@@ -72,45 +72,11 @@ class FieldSpec:
                 f"field characteristic must be a prime 2 <= p < 2**31, got {self.char!r}"
             )
 
-    def reduce(self, a: int) -> int:
-        return a % self.char
-
     def inv(self, a: int) -> int:
         a %= self.char
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_%d" % self.char)
         return pow(a, -1, self.char)
-
-    def sqrt(self, a: int) -> int | None:
-        """A square root of a mod p, or None if a is not a square."""
-        p = self.char
-        a %= p
-        if a == 0:
-            return 0
-        if p == 2:
-            return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # Tonelli-Shanks for p = 1 mod 4.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) == 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
 
 
 class SparseRows(NamedTuple):

@@ -159,23 +159,24 @@ def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
 # moving a point to the distinguished position
 
 
-def _det_mod(mat: np.ndarray, p: int) -> int:
-    a = mat.astype(np.int64) % p
-    n = a.shape[0]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r, c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = -det
-        det = det * int(a[c, c]) % p
-        inv = pow(int(a[c, c]), -1, p)
-        for r in range(c + 1, n):
-            if a[r, c]:
-                a[r] = (a[r] - int(a[r, c]) * inv * a[c]) % p
-    return det % p
+def _wedge_minors(a: np.ndarray, wedge: tuple, char: int) -> dict:
+    """{K: det a[wedge, K] mod char} over the column subsets K with a nonzero
+    minor: the coefficients of the exterior product of the rows a[i], i in
+    wedge, expanded over their nonzero entries with exact Python ints."""
+    terms = {(): 1}
+    for i in wedge:
+        row = [(j, int(v)) for j, v in enumerate(a[i]) if v]
+        grown: dict = {}
+        for K, c in terms.items():
+            for j, v in row:
+                if j in K:
+                    continue
+                # e_K ^ e_j = (-1)^#{k in K : k > j} e_{K + j}
+                sign = -1 if sum(k > j for k in K) % 2 else 1
+                key = tuple(sorted(K + (j,)))
+                grown[key] = (grown.get(key, 0) + sign * c * v) % char
+        terms = grown
+    return {K: d for K, d in sorted(terms.items()) if d}
 
 
 def move_point_matrix(point: ProjectivePoint) -> np.ndarray:
@@ -203,18 +204,12 @@ def transform_cocycle(
     nv = cocycle.scheme.ring.nvars
     a = np.asarray(matrix, dtype=np.int64) % char
     p = cocycle.p
-    targets = exterior_basis(nv, p)
     out: dict = {}
     minor_cache: dict = {}
     for (wedge, var), c in cocycle.coeffs.items():
         minors = minor_cache.get(wedge)
         if minors is None:
-            minors = {}
-            for K in targets:
-                d = _det_mod(a[np.ix_(wedge, K)], char)
-                if d:
-                    minors[K] = d
-            minor_cache[wedge] = minors
+            minors = minor_cache[wedge] = _wedge_minors(a, wedge, char)
         for K, d in minors.items():
             for l in range(nv):
                 al = int(a[var, l])

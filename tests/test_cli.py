@@ -307,6 +307,14 @@ def test_build_plane_model_recipe(capsys, tmp_path):
     assert report["payload"]["scheme"]["generators_by_degree"] == {"2": 3, "3": 2}
     # the node must be where the file says it is
     assert main(["build", f"plane-model file={quintic} adjoints=2 node=0,1,0"]) == 2
+    # node= may repeat; the other keys may not, and there are no positionals
+    for bad in (
+        f"plane-model file={quintic} file={quintic} node=0,0,1",
+        f"plane-model file={quintic} adjoints=2 adjoints=3 node=0,0,1",
+        f"plane-model 2 file={quintic} node=0,0,1",
+    ):
+        assert main(["build", bad]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +342,22 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["betti", "rnc 3", "--field-char", "2147483659"],  # prime, but >= 2**31
         # prime and far too large: must be refused without trial division
         ["betti", "rnc 3", "--field-char", "18446744073709551629"],
+        # recipe options: each kind takes only its own keys, each key once
+        ["build", "ci 2 3 sed=7"],
+        ["build", "ci 2 3 seed=7 seed=8"],
+        ["betti", "rnc 3 bogus=1"],
+        ["build", "scroll 2 1 seed=3"],
+        # counts below their minimum, and runs that would select no case
+        ["verify", "aprodu-proj", "--variety", "rnc 3", "--points", "-3"],
+        ["verify", "aprodu-proj", "--variety", "rnc 3", "--points", "0"],
+        ["verify", "ep", "--variety", "rnc 3", "--samples", "-1"],
+        ["resolve", "rnc 3", "--degree-bound", "-1"],
+        ["resolve", "rnc 3", "--length-bound", "-1"],
+        ["reconstruct", "rnc 3", "--p", "2", "--points", "0"],
+        ["verify", "reconstruct", "--samples", "0"],
+        ["verify", "ep", "--variety", "rnc 3", "--case", "ep/rnc-3/no-such-case"],
+        # the top strand of a line is zero: no class to sample
+        ["verify", "ep", "--variety", "scroll 1"],
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):

@@ -63,21 +63,6 @@ def test_default_chars_are_prime_and_3_mod_4():
         assert p % 4 == 3
 
 
-def test_sqrt():
-    fs = FieldSpec(32003)
-    for a in [1, 4, 9, 1234, 31999]:
-        r = fs.sqrt(a)
-        if r is not None:
-            assert r * r % 32003 == a % 32003
-    assert fs.sqrt(0) == 0
-    # p = 3 mod 4, so -1 is a non-residue: exactly one of a, -a is a square
-    assert (fs.sqrt(2) is None) != (fs.sqrt(-2 % 32003) is None)
-    # p = 1 mod 4 exercises Tonelli-Shanks
-    fs13 = FieldSpec(13)
-    r = fs13.sqrt(3)
-    assert r is not None and r * r % 13 == 3
-
-
 def test_rref_spec_kernel_example():
     # kernel of [[1,2],[2,4]] over F_7 is spanned by (-2, 1) = (5, 1)
     k = kernel_basis([[1, 2], [2, 4]], 7)
