@@ -37,6 +37,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -135,6 +136,8 @@ class RunContext:
     warnings: list = field(default_factory=list)
     case_timings: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
+    cache_locks: dict = field(default_factory=dict)
+    cache_locks_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def note_input(self, source: str, text: str):
         entry = {"source": source, "sha256": hashlib.sha256(text.encode()).hexdigest()}
@@ -142,8 +145,13 @@ class RunContext:
             self.inputs.append(entry)
 
     def cached(self, key, build):
-        if key not in self.cache:
-            self.cache[key] = build()
+        """build(), once per key: cases running on other threads wait for
+        the build of a key they share instead of repeating it."""
+        with self.cache_locks_lock:
+            lock = self.cache_locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self.cache:
+                self.cache[key] = build()
         return self.cache[key]
 
     def assume(self, kind: str):
@@ -1348,7 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel case execution for verify (default 1)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
-    common.add_argument("--entry-budget", type=int, default=None, metavar="N",
+    common.add_argument("--entry-budget", type=_at_least(1), default=None, metavar="N",
                         help=f"max entries of any Koszul matrix (default {DEFAULT_ENTRY_BUDGET})")
 
     classsel = argparse.ArgumentParser(add_help=False)

@@ -17,6 +17,12 @@ Bases are canonical: wedge tuples in lexicographic order (index-major),
 monomials degrevlex-descending; matrices act on column vectors, rows are
 the target basis.
 
+delta is assembled in one place, column by column, as sparse dicts.  A
+rank is the rank of the transpose: the forward elimination pass alone,
+run on those sparse columns, so no rank makes delta or an echelon form
+dense.  `koszul_matrix` densifies the same columns for the callers that
+need an array (cocycle bases, coboundaries, syzygy schemes).
+
 `minimal_free_resolution` is an independent oracle: it resolves R/I degree
 by degree with graded kernels and minimal generator selection, never
 touching the Koszul code path, and certifies completeness against the
@@ -33,7 +39,7 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .exactalg import SparseRows, complement_basis, kernel_basis, rref, sparse_rows
+from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref, sparse_rows
 from .polyring import EmbeddedScheme, Ideal, Polynomial
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
@@ -61,13 +67,64 @@ def koszul_space_dim(scheme: EmbeddedScheme, p: int, q: int) -> int:
     return comb(nv, p) * scheme.ideal.hilbert_function(q)
 
 
-def _check_budget(rows: int, cols: int, p: int, q: int, entry_budget: int | None):
+def _check_budget(
+    scheme: EmbeddedScheme, p: int, q: int, entry_budget: int | None
+) -> tuple[int, int]:
+    """(rows, cols) of delta_{p,q}; BudgetError when it has more entries
+    than the budget allows."""
+    rows = koszul_space_dim(scheme, p - 1, q + 1)
+    cols = koszul_space_dim(scheme, p, q)
     budget = DEFAULT_ENTRY_BUDGET if entry_budget is None else entry_budget
     if rows * cols > budget:
         raise BudgetError(
             f"koszul matrix delta_({p},{q}) has {rows} x {cols} = {rows * cols} "
             f"entries, over the budget of {budget}"
         )
+    return rows, cols
+
+
+def _koszul_columns(
+    scheme: EmbeddedScheme, p: int, q: int, entry_budget: int | None = None
+) -> SparseRows:
+    """The columns of delta_{p,q}, as the sparse rows of its transpose.
+
+    One dict {row: value} per source basis element (I, m), in column
+    order, with values in [1, char).  Dropping different positions k of I
+    gives different target wedges, so no two terms of a column share a
+    row.  This is the only assembly loop of delta: `koszul_matrix`
+    densifies its output and `koszul_rank` eliminates it as it is.
+    """
+    rows, cols = _check_budget(scheme, p, q, entry_budget)
+    if rows == 0 or cols == 0:
+        return SparseRows([{} for _ in range(cols)], rows)
+    ideal = scheme.ideal
+    char = scheme.char
+    nv = scheme.ring.nvars
+    tgt_index = {w: i for i, w in enumerate(exterior_basis(nv, p - 1))}
+    tgt_monos_index = ideal.standard_index(q + 1)
+    width = len(tgt_monos_index)
+    # x_i * m on the target monomials, once per (m, i) rather than once
+    # per (I, m, k)
+    times = [
+        [
+            [(tgt_monos_index[m2], c) for m2, c in ideal.nf_times_var(m, i).items()]
+            for i in range(nv)
+        ]
+        for m in ideal.standard_monomials(q)
+    ]
+    columns = []
+    for wedge in exterior_basis(nv, p):
+        drops = [
+            (tgt_index[wedge[:k] + wedge[k + 1 :]] * width, i, removal_sign(k))
+            for k, i in enumerate(wedge)
+        ]
+        for prods in times:
+            col = {}
+            for base, i, sign in drops:
+                for j, c in prods[i]:
+                    col[base + j] = sign * c % char
+            columns.append(col)
+    return SparseRows(columns, rows)
 
 
 def koszul_matrix(
@@ -79,31 +136,10 @@ def koszul_matrix(
     standard_monomials(q).  Rows: (J, m') with J in exterior_basis(n+1, p-1)
     and m' over standard_monomials(q+1).
     """
-    ring = scheme.ring
-    nv = ring.nvars
-    char = ring.char
-    rows = koszul_space_dim(scheme, p - 1, q + 1)
-    cols = koszul_space_dim(scheme, p, q)
-    _check_budget(rows, cols, p, q, entry_budget)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    if rows == 0 or cols == 0:
-        return mat
-    src_wedges = exterior_basis(nv, p)
-    tgt_wedges = exterior_basis(nv, p - 1)
-    tgt_index = {w: i for i, w in enumerate(tgt_wedges)}
-    src_monos = scheme.ideal.standard_monomials(q)
-    tgt_monos_index = scheme.ideal.standard_index(q + 1)
-    width = len(tgt_monos_index)
-    ci = 0
-    for wedge in src_wedges:
-        for m in src_monos:
-            for k, i in enumerate(wedge):
-                sign = removal_sign(k)
-                j_row = tgt_index[wedge[:k] + wedge[k + 1 :]] * width
-                for m2, c in scheme.ideal.nf_times_var(m, i).items():
-                    mat[j_row + tgt_monos_index[m2], ci] += sign * c
-            ci += 1
-    mat %= char
+    columns, height = _koszul_columns(scheme, p, q, entry_budget)
+    mat = np.zeros((height, len(columns)), dtype=np.int64)
+    for ci, col in enumerate(columns):
+        mat[list(col), ci] = list(col.values())
     return mat
 
 
@@ -112,18 +148,14 @@ def koszul_rank(
 ) -> int:
     """rank of delta_{p,q}, cached on the scheme.
 
+    Computed as the rank of the transpose by the forward pass alone, on
+    the sparse columns: neither delta nor an echelon form is made dense.
     The budget is enforced before the cache is consulted, so a budgeted run
     fails the same way whether or not earlier calls warmed the cache."""
-    rows = koszul_space_dim(scheme, p - 1, q + 1)
-    cols = koszul_space_dim(scheme, p, q)
-    _check_budget(rows, cols, p, q, entry_budget)
+    _check_budget(scheme, p, q, entry_budget)
     got = scheme._koszul_ranks.get((p, q))
     if got is None:
-        if rows == 0 or cols == 0:
-            got = 0
-        else:
-            mat = koszul_matrix(scheme, p, q, entry_budget)
-            got = len(rref(mat, scheme.char)[1])
+        got = rank(_koszul_columns(scheme, p, q, entry_budget), scheme.char)
         scheme._koszul_ranks[(p, q)] = got
     return got
 
@@ -277,14 +309,16 @@ class KoszulCocycle:
         return cls(scheme, p, coeffs)
 
     def is_cocycle(self, entry_budget: int | None = None) -> bool:
-        mat = koszul_matrix(self.scheme, self.p, 1, entry_budget)
-        if mat.shape[1] == 0:
-            return True
+        """Is delta_{p,1} of this tensor zero?  Summed exactly in Python
+        ints over the columns of delta at the nonzero coefficients."""
+        columns = _koszul_columns(self.scheme, self.p, 1, entry_budget).rows
+        image: dict[int, int] = {}
+        for col, c in zip(columns, self.to_vector().tolist()):
+            if c:
+                for r, v in col.items():
+                    image[r] = image.get(r, 0) + c * v
         char = self.scheme.char
-        # reduce each product before summing: a product of two entries fits
-        # in int64 for every char < 2**31, a sum of many products may not
-        terms = (mat * self.to_vector()) % char
-        return not np.any(terms.sum(axis=1) % char)
+        return not any(v % char for v in image.values())
 
     def add(self, other: "KoszulCocycle") -> "KoszulCocycle":
         if other.scheme is not self.scheme or other.p != self.p:

@@ -13,6 +13,7 @@ output are exactly what a shell user sees.  Oracles:
 """
 
 import json
+import sys
 from importlib import resources
 
 import jsonschema
@@ -127,6 +128,38 @@ def test_jobs_do_not_change_results(capsys):
     base = ["verify", "ep", "--variety", "rnc 4", "--samples", "4", "--json"]
     _, serial = run_json(capsys, base)
     _, parallel = run_json(capsys, base + ["--jobs", "4"])
+    for report in (serial, parallel):
+        report.pop("timings")
+        report["argv"] = None
+    assert serial == parallel
+
+
+def test_jobs_build_each_shared_instance_once(capsys, monkeypatch):
+    calls = []
+    build = cli.model_image
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["labels"]["model"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "model_image", counted)
+    argv = ["verify", "schreyer-converse", "--json"]
+    interval = sys.getswitchinterval()
+    reports = []
+    try:
+        # switch threads often, so that cases asking for one instance
+        # overlap while it is being built
+        sys.setswitchinterval(1e-6)
+        for jobs in ("1", "4"):
+            calls.clear()
+            rc, report = run_json(capsys, argv + ["--jobs", jobs])
+            assert rc == 0
+            reports.append((sorted(calls), report))
+    finally:
+        sys.setswitchinterval(interval)
+    (serial_calls, serial), (parallel_calls, parallel) = reports
+    assert parallel_calls == serial_calls
+    assert len(serial_calls) == len(set(serial_calls))
     for report in (serial, parallel):
         report.pop("timings")
         report["argv"] = None
@@ -355,6 +388,8 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["resolve", "rnc 3", "--length-bound", "-1"],
         ["reconstruct", "rnc 3", "--p", "2", "--points", "0"],
         ["verify", "reconstruct", "--samples", "0"],
+        ["betti", "rnc 3", "--entry-budget", "0"],
+        ["betti", "rnc 3", "--entry-budget", "-5"],
         ["verify", "ep", "--variety", "rnc 3", "--case", "ep/rnc-3/no-such-case"],
         # the top strand of a line is zero: no class to sample
         ["verify", "ep", "--variety", "scroll 1"],

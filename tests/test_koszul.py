@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzkit.builders import rational_normal_curve
+from syzkit.builders import complete_intersection, rational_normal_curve, scroll
 from syzkit.errors import BudgetError, InputError
+from syzkit.exactalg import rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
@@ -77,6 +79,45 @@ def test_differential_squares_to_zero(tc):
         second = koszul_matrix(tc, p - 1, q + 1)
         if first.size and second.size:
             assert not np.any((second @ first) % tc.char)
+
+
+_RANK_SCHEMES = {
+    "rnc 3": lambda char: rational_normal_curve(3, char),
+    "rnc 4": lambda char: rational_normal_curve(4, char),
+    "scroll 1 1": lambda char: scroll((1, 1), char),
+    "scroll 2 1": lambda char: scroll((2, 1), char),
+    "scroll 1 1 1": lambda char: scroll((1, 1, 1), char),
+    "ci 2 3": lambda char: complete_intersection((2, 3), char, seed=1),
+    "ci 2 2": lambda char: complete_intersection((2, 2), char, seed=2),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(_RANK_SCHEMES)),
+    st.sampled_from([2, 3, 32003, 2**31 - 1]),
+)
+def test_koszul_rank_matches_dense_rref(name, char):
+    scheme = _RANK_SCHEMES[name](char)
+    nv = scheme.ring.nvars
+    # p = -1, 0 and nv + 1, and q = -1, give the empty shapes
+    for p in range(-1, nv + 2):
+        for q in range(-1, 3):
+            dense = koszul_matrix(scheme, p, q)
+            assert koszul_rank(scheme, p, q) == len(rref(dense, char)[1]), (p, q)
+
+
+def test_koszul_rank_builds_no_dense_matrix():
+    # delta_{4,2} of scroll(2, 2, 1) is 3360 x 1820: dense, it alone takes
+    # 49 MB, and its RREF as much again
+    scheme = scroll((2, 2, 1))
+    tracemalloc.start()
+    try:
+        assert koszul_rank(scheme, 4, 2) == 1400
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_betti_table_twisted_cubic(tc):
