@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .errors import ConsistencyError, InputError
 from .exactalg import (
     DEFAULT_CHAR,
@@ -26,6 +24,15 @@ from .exactalg import (
 )
 from .polyring import EmbeddedScheme, Ideal, PolyRing, Polynomial
 from .syzgeo import ProjectivePoint
+
+
+def seeded_rng(seed):
+    """numpy's default generator (PCG64) for `seed`: every random draw of
+    the package comes from one of these.  numpy is imported here, on the
+    first draw, so a run that draws nothing never loads it."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,7 @@ def sample_points(scheme: EmbeddedScheme, count: int, seed: int) -> list:
     par = getattr(scheme, "_parametrization", None)
     if not par:
         raise InputError("scheme has no attached parametrization to sample from")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     out: list = []
     seen = set()
     guard = 0
@@ -207,7 +214,7 @@ def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> E
         raise InputError("complete_intersection needs every degree >= 2")
     nv = len(degrees) + 2
     ring = PolyRing(char, tuple(f"x{i}" for i in range(nv)))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     expected_degree = 1
     for d in degrees:
         expected_degree *= d
@@ -368,7 +375,7 @@ def nodal_quintic(node_count: int, char: int = DEFAULT_CHAR, seed: int = 0) -> P
     for k in node_indices:
         excluded |= _QUINTIC_EXCLUSIONS[k]
     monos = [m for m in ring.monomials_of_degree(5) if m not in excluded]
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     for _ in range(64):
         coeffs = rng.integers(0, char, size=len(monos))
         f = Polynomial(ring, {m: int(c) for m, c in zip(monos, coeffs) if c})
@@ -417,15 +424,15 @@ def _substitution_matrix(forms, modulus: Ideal, d: int):
     cols = tring.monomials_of_degree(d)
     deg = forms[0].degree() * d
     index = modulus.standard_index(deg)
-    mat = np.zeros((len(index), len(cols)), dtype=np.int64)
+    rows = [{} for _ in index]
     for ci, m in enumerate(cols):
         prod = forms[0].ring.one()
         for i, e in enumerate(m):
             for _ in range(e):
                 prod = prod * forms[i]
         for mono, c in modulus.normal_form(prod).terms.items():
-            mat[index[mono], ci] = c
-    return tring, cols, mat
+            rows[index[mono]][ci] = c
+    return tring, cols, SparseRows(rows, len(cols))
 
 
 def implicitize_kernel(model: PlaneModel, forms, max_degree: int = 3) -> Ideal:
@@ -457,18 +464,14 @@ def implicitize_kernel(model: PlaneModel, forms, max_degree: int = 3) -> Ideal:
             for i in range(tring.nvars):
                 prod = g * tring.var(i)
                 old_rows.append({col_index[m]: c for m, c in prod.terms.items()})
-        if len(ker):
-            new_rows = (
-                complement_basis(SparseRows(old_rows, len(cols)), ker, char)
-                if old_rows
-                else ker
-            )
+        if ker.rows and old_rows:
+            new_rows = complement_basis(SparseRows(old_rows, len(cols)), ker, char).rows
         else:
-            new_rows = []
+            new_rows = ker.rows
         for row in new_rows:
-            gens.append(Polynomial(tring, {m: int(c) for m, c in zip(cols, row) if c}))
+            gens.append(Polynomial(tring, {cols[i]: c for i, c in sorted(row.items())}))
         prev_piece = [
-            Polynomial(tring, {m: int(c) for m, c in zip(cols, row) if c}) for row in ker
+            Polynomial(tring, {cols[i]: c for i, c in sorted(row.items())}) for row in ker.rows
         ]
     ideal = Ideal(tring, gens)
     # the quotient by the full image ideal is the image algebra, whose
@@ -640,10 +643,11 @@ def plane_curve_point(model: PlaneModel, rng) -> ProjectivePoint:
             coeffs[m[2]] = (coeffs[m[2]] + c * pow(t, m[1], p)) % p
         if not any(coeffs):
             continue
-        roots = np.array(_roots_mod_p(coeffs, p), dtype=np.int64)
+        roots = _roots_mod_p(coeffs, p)
+        # numpy shuffles a list with the same draws as an array
         rng.shuffle(roots)
         for z in roots:
-            pt = ProjectivePoint.make(p, (1, t, int(z)))
+            pt = ProjectivePoint.make(p, (1, t, z))
             if pt.coords not in node_set:
                 return pt
     raise ConsistencyError("no smooth plane-curve point found in 64 pencils")

@@ -42,8 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from numbers import Integral
 
 from . import __version__
 from .builders import (
@@ -60,6 +59,7 @@ from .builders import (
     sample_points,
     scroll,
     scroll_types,
+    seeded_rng,
     validate_plane_model,
 )
 from .errors import BudgetError, InputError
@@ -390,7 +390,7 @@ def _random_class(basis, rng) -> KoszulCocycle:
 
 
 def _case_rng(seed: int, case_id: str):
-    return np.random.default_rng([seed & 0xFFFFFFFF, *case_id.encode()])
+    return seeded_rng([seed & 0xFFFFFFFF, *case_id.encode()])
 
 
 def _pick_class(basis, k: int, ctx: RunContext, cid: str) -> KoszulCocycle:
@@ -436,7 +436,7 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, np.integer):
+    if isinstance(v, Integral) and not isinstance(v, bool):
         return int(v)
     return v
 
@@ -552,8 +552,7 @@ def _spanning_points(scheme: EmbeddedScheme, count: int, seed: int, ctx: RunCont
     want = max(count, nv)
     for attempt in range(3):
         pts = sample_points(scheme, want + attempt * nv, seed + attempt)
-        mat = np.array([p.coords for p in pts], dtype=np.int64)
-        if matrix_rank(mat, scheme.char) == nv:
+        if matrix_rank([p.coords for p in pts], scheme.char) == nv:
             if attempt:
                 ctx.warnings.append(
                     f"point sample extended {attempt} time(s) to reach a spanning set"
@@ -750,8 +749,7 @@ def _sampled_spanning(scheme: EmbeddedScheme, count: int, rng, warnings: list):
     count = max(count, scheme.ring.nvars)
     for attempt in range(3):
         candidate = sample_points(scheme, count + attempt, int(rng.integers(1 << 30)))
-        mat = np.array([pt.coords for pt in candidate], dtype=np.int64)
-        if matrix_rank(mat, scheme.char) == scheme.ring.nvars:
+        if matrix_rank([pt.coords for pt in candidate], scheme.char) == scheme.ring.nvars:
             if attempt:
                 warnings.append(f"extended the sample {attempt} time(s) to span")
             return candidate

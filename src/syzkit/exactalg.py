@@ -2,8 +2,7 @@
 
 Everything in this module is integer arithmetic mod p on Python ints; no
 floating point ever reaches a result.  Characteristics are limited to
-2 <= p < 2**31, so every entry, and every product of two entries, fits in
-the int64 arrays handed back to callers.
+2 <= p < 2**31.
 
 There is one elimination engine, in the style of Faugère–Lachartre, on
 sparse rows: dicts {column: value} of the nonzero entries.  The forward
@@ -16,9 +15,14 @@ form.  `rank` needs only the forward pass; `kernel_basis` and
 the rows they do not return.  The matrices of this package are mostly
 well under 1% nonzero, so fill-in stays small.
 
-Every public function takes a dense matrix (anything numpy can turn into
-a 2-D integer array) or a `SparseRows`, and reduces its entries mod p
-once.  The dicts of a `SparseRows` are never modified.
+Every public function takes a `SparseRows` or a dense matrix, a sequence
+of equal-length rows of integers read by plain iteration, and reduces its
+entries mod p once.  A dense matrix with no rows has no width, so a matrix
+that can be empty is passed as `SparseRows([], ncols)`.  Results are in
+row form too: `rref`, `kernel_basis` and `complement_basis` return
+`SparseRows`, `matrix_inverse` a list of int rows, and `in_span` a list.
+No function here writes to a dict it was given, and every row it returns
+is a fresh one.
 
 Reduced row echelon form is unique for a given column order, so every
 basis handed out here (kernels, row spaces, complements) is canonical and
@@ -29,10 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 DEFAULT_CHAR = 32003
 CROSSCHECK_CHAR = 31991
@@ -82,32 +83,41 @@ class FieldSpec:
 class SparseRows(NamedTuple):
     """A matrix as its rows, each a dict {column: value}, and its width.
 
-    Absent columns are zero; values are any integers and are reduced mod p
+    Absent columns are zero; values are Python ints and are reduced mod p
     by the function that receives the matrix."""
 
     rows: list
     ncols: int
 
+    def transpose(self) -> "SparseRows":
+        """The transpose, as fresh rows."""
+        out = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for c, v in row.items():
+                out[c][i] = v
+        return SparseRows(out, len(self.rows))
+
 
 def sparse_rows(m, p: int) -> SparseRows:
-    """m as fresh sparse rows with values reduced to [1, p)."""
+    """m as sparse rows with values in [1, p).
+
+    A row of a `SparseRows` whose values already lie in that range is
+    handed on as it is, not copied; the engine copies a row before its
+    first write.  A dense matrix is read by plain iteration."""
     if isinstance(m, SparseRows):
-        rows = [{c: r for c, v in row.items() if (r := int(v) % p)} for row in m.rows]
+        rows = [
+            row
+            if not row or (0 < min(row.values()) and max(row.values()) < p)
+            else {c: r for c, v in row.items() if (r := int(v) % p)}
+            for row in m.rows
+        ]
         return SparseRows(rows, m.ncols)
-    a = np.asarray(m, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    # reduce only the nonzeros: no second dense copy of a large matrix
-    r, c = np.nonzero(a)
-    vals = a[r, c] % p
-    if not vals.all():
-        r, c, vals = r[vals != 0], c[vals != 0], vals[vals != 0]
-    cols, vals = c.tolist(), vals.tolist()
-    bounds = np.searchsorted(r, np.arange(a.shape[0] + 1)).tolist()
-    rows = [dict(zip(cols[s:e], vals[s:e])) for s, e in zip(bounds, bounds[1:])]
-    return SparseRows(rows, a.shape[1])
+    m = list(m)
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("dense matrix rows have unequal lengths")
+    rows = [{c: r for c, v in enumerate(row) if v and (r := int(v) % p)} for row in m]
+    return SparseRows(rows, ncols)
 
 
 def _subtract(row: dict, f: int, piv: dict, p: int) -> None:
@@ -122,17 +132,22 @@ def _subtract(row: dict, f: int, piv: dict, p: int) -> None:
             del row[k]
 
 
-def _forward(rows, p: int, pivots: dict) -> dict:
+def _forward(rows, p: int, pivots: dict, own: bool = False) -> dict:
     """Forward pass: add `rows` to `pivots`, a semi-echelon form.
 
     `pivots` maps each pivot column to a row with lead (smallest) column
     there and lead value 1.  Each row is reduced by its lead term only,
     until its lead column holds no pivot yet; then it becomes the pivot
     row of that column.  Shorter rows go first: they make sparser pivot
-    rows, so later rows fill in less.  The rows are consumed, so callers
-    pass fresh ones.
+    rows, so later rows fill in less.
+
+    The given dicts are never written to: a row is copied on its first
+    write, so a row that needs no work becomes a pivot row as it is.  With
+    `own`, such a row is copied too, so that every pivot row belongs to
+    the pass and `_backward` may write to it.
     """
     for row in sorted(rows, key=len):
+        copied = False
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -141,15 +156,19 @@ def _forward(rows, p: int, pivots: dict) -> dict:
                 if c != 1:
                     inv = pow(c, -1, p)
                     row = {k: v * inv % p for k, v in row.items()}
+                elif own and not copied:
+                    row = dict(row)
                 pivots[lead] = row
                 break
+            if not copied:
+                row, copied = dict(row), True
             _subtract(row, row[lead], piv, p)
     return pivots
 
 
 def _backward(pivots: dict, p: int) -> list[int]:
-    """Back pass: turn a semi-echelon form into RREF in place, and return
-    the increasing list of pivot columns.
+    """Back pass: turn a semi-echelon form, found with `own`, into RREF
+    in place, and return the increasing list of pivot columns.
 
     Pivot rows are finished in decreasing pivot order, so every row used
     for back-substitution is already reduced and has no pivot column but
@@ -162,48 +181,25 @@ def _backward(pivots: dict, p: int) -> list[int]:
     return order
 
 
-def _coo(rows: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row index, column, value) arrays of every entry of `rows`."""
-    lengths = [len(row) for row in rows]
-    total = sum(lengths)
-    at = np.repeat(np.arange(len(rows)), lengths)
-    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=total)
-    vals = np.fromiter(
-        chain.from_iterable(row.values() for row in rows), dtype=np.int64, count=total
-    )
-    return at, cols, vals
-
-
-def _dense(rows: list[dict], ncols: int) -> np.ndarray:
-    out = np.zeros((len(rows), ncols), dtype=np.int64)
-    at, cols, vals = _coo(rows)
-    out[at, cols] = vals
-    return out
-
-
-def _echelon(rows, ncols: int, p: int) -> tuple[np.ndarray, list[int]]:
-    """(R, pivots): the RREF of fresh sparse rows, see `rref`."""
-    pivots = _forward(rows, p, {})
-    order = _backward(pivots, p)
-    return _dense([pivots[c] for c in order], ncols), order
-
-
-def rref(m, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(m, p: int) -> tuple[SparseRows, list[int]]:
     """Reduced row echelon form of m over F_p.
 
     Returns (R, pivots): R keeps one row per pivot (zero rows dropped),
     each pivot entry is 1 with zeros above and below, and rows are sorted
     by pivot column.  `pivots` is the increasing list of pivot columns.
     """
-    return _echelon(*sparse_rows(m, p), p)
+    rows, ncols = sparse_rows(m, p)
+    pivots = _forward(rows, p, {}, own=True)
+    order = _backward(pivots, p)
+    return SparseRows([pivots[c] for c in order], ncols), order
 
 
 def rank(m, p: int) -> int:
     return len(_forward(sparse_rows(m, p).rows, p, {}))
 
 
-def kernel_basis(m, p: int) -> np.ndarray:
-    """Basis of {x : m @ x = 0} over F_p, as rows of an int64 array.
+def kernel_basis(m, p: int) -> SparseRows:
+    """Basis of {x : m @ x = 0} over F_p, one row per basis vector.
 
     One basis vector per free column, in increasing free-column order,
     normalized so the free-coordinate block is the identity (entry 1 at
@@ -212,57 +208,53 @@ def kernel_basis(m, p: int) -> np.ndarray:
     hence canonical.
     """
     rows, ncols = sparse_rows(m, p)
-    pivots = _forward(rows, p, {})
-    order = _backward(pivots, p)
-    free_mask = np.ones(ncols, dtype=bool)
-    free_mask[order] = False
-    free = np.flatnonzero(free_mask)
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    # value v of RREF row k at free column f puts -v at (f, pivot k); the
-    # RREF itself, rank x ncols, is never made dense
-    at, cols, vals = _coo([pivots[c] for c in order])
-    keep = free_mask[cols]
-    free_index = np.cumsum(free_mask) - 1
-    out[free_index[cols[keep]], np.asarray(order, dtype=np.int64)[at[keep]]] = p - vals[keep]
-    return out
+    pivots = _forward(rows, p, {}, own=True)
+    _backward(pivots, p)
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    # value v of the RREF row of pivot k at free column f puts -v at (f, k)
+    for k, row in pivots.items():
+        for f, v in row.items():
+            if f != k:
+                basis[f][k] = p - v
+    return SparseRows(list(basis.values()), ncols)
 
 
-def in_span(v, m, p: int) -> tuple[bool, np.ndarray | None]:
-    """Is v in the column span of m?  Returns (flag, witness).
+def in_span(v, m, p: int) -> tuple[bool, list[int] | None]:
+    """Is the dense vector v in the column span of m?  Returns (flag,
+    witness).
 
     When flag is True, witness w satisfies m @ w = v (mod p); otherwise
     witness is None.
     """
     rows, ncols = sparse_rows(m, p)
-    vec = (np.asarray(v, dtype=np.int64).reshape(-1) % p).tolist()
+    vec = [int(c) % p for c in v]
     if len(vec) != len(rows):
         raise ValueError(f"vector length {len(vec)} != row count {len(rows)}")
-    for row, c in zip(rows, vec):
-        if c:
-            row[ncols] = c
-    reduced, pivots = _echelon(rows, ncols + 1, p)
+    rows = [{**row, ncols: c} if c else row for row, c in zip(rows, vec)]
+    pivots = _forward(rows, p, {}, own=True)
     if ncols in pivots:
         return False, None
-    witness = np.zeros(ncols, dtype=np.int64)
-    witness[pivots] = reduced[:, -1]
+    _backward(pivots, p)
+    witness = [0] * ncols
+    for k, row in pivots.items():
+        witness[k] = row.get(ncols, 0)
     return True, witness
 
 
-def matrix_inverse(m, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p; raises ValueError if singular."""
+def matrix_inverse(m, p: int) -> list[list[int]]:
+    """Inverse of a square matrix over F_p, as int rows; raises ValueError
+    if singular."""
     rows, n = sparse_rows(m, p)
     if len(rows) != n:
         raise ValueError(f"not square: {(len(rows), n)}")
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    reduced, pivots = _echelon(rows, 2 * n, p)
-    if pivots != list(range(n)):
+    pivots = _forward([{**row, n + i: 1} for i, row in enumerate(rows)], p, {}, own=True)
+    if sorted(pivots) != list(range(n)):
         raise ValueError("matrix is singular mod %d" % p)
-    return reduced[:, n:]
+    _backward(pivots, p)
+    return [[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)]
 
 
-def complement_basis(sub, full, p: int) -> np.ndarray:
+def complement_basis(sub, full, p: int) -> SparseRows:
     """Rows extending row-space(sub) to row-space(sub) + row-space(full).
 
     Returns the rows of rref(stack(sub, full)) whose pivot column is not a
@@ -272,7 +264,7 @@ def complement_basis(sub, full, p: int) -> np.ndarray:
     the pivots the forward pass has found after the rows of sub.
     """
     full_rows, ncols = sparse_rows(full, p)
-    pivots = _forward(sparse_rows(sub, p).rows, p, {})
+    pivots = _forward(sparse_rows(sub, p).rows, p, {}, own=True)
     sub_piv = set(pivots)
-    order = _backward(_forward(full_rows, p, pivots), p)
-    return _dense([pivots[c] for c in order if c not in sub_piv], ncols)
+    order = _backward(_forward(full_rows, p, pivots, own=True), p)
+    return SparseRows([pivots[c] for c in order if c not in sub_piv], ncols)

@@ -20,8 +20,9 @@ the target basis.
 delta is assembled in one place, column by column, as sparse dicts.  A
 rank is the rank of the transpose: the forward elimination pass alone,
 run on those sparse columns, so no rank makes delta or an echelon form
-dense.  `koszul_matrix` densifies the same columns for the callers that
-need an array (cocycle bases, coboundaries, syzygy schemes).
+dense.  Cocycle bases and coboundaries work on the same columns, as rows
+of the transpose or transposed back; `koszul_matrix` is the dense view,
+a list of int rows, for the callers that want one.
 
 `minimal_free_resolution` is an independent oracle: it resolves R/I degree
 by degree with graded kernels and minimal generator selection, never
@@ -36,10 +37,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .errors import BudgetError, ConsistencyError, InputError
-from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref, sparse_rows
+from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref
 from .polyring import EmbeddedScheme, Ideal, Polynomial
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
@@ -91,8 +90,8 @@ def _koszul_columns(
     One dict {row: value} per source basis element (I, m), in column
     order, with values in [1, char).  Dropping different positions k of I
     gives different target wedges, so no two terms of a column share a
-    row.  This is the only assembly loop of delta: `koszul_matrix`
-    densifies its output and `koszul_rank` eliminates it as it is.
+    row.  This is the only assembly loop of delta: every other function
+    here reads its output.
     """
     rows, cols = _check_budget(scheme, p, q, entry_budget)
     if rows == 0 or cols == 0:
@@ -129,17 +128,19 @@ def _koszul_columns(
 
 def koszul_matrix(
     scheme: EmbeddedScheme, p: int, q: int, entry_budget: int | None = None
-) -> np.ndarray:
-    """The matrix of delta_{p,q} in the documented bases (int64 mod p).
+) -> list[list[int]]:
+    """The matrix of delta_{p,q} in the documented bases, as dense int
+    rows with entries in [0, char).
 
     Columns: (I, m) with I in exterior_basis(n+1, p) major, m running over
     standard_monomials(q).  Rows: (J, m') with J in exterior_basis(n+1, p-1)
     and m' over standard_monomials(q+1).
     """
     columns, height = _koszul_columns(scheme, p, q, entry_budget)
-    mat = np.zeros((height, len(columns)), dtype=np.int64)
+    mat = [[0] * len(columns) for _ in range(height)]
     for ci, col in enumerate(columns):
-        mat[list(col), ci] = list(col.values())
+        for r, v in col.items():
+            mat[r][ci] = v
     return mat
 
 
@@ -280,28 +281,24 @@ class KoszulCocycle:
 
     # -- vector layout (matches koszul_matrix columns for q = 1) ------------
 
-    def to_vector(self) -> np.ndarray:
-        nv = self.scheme.ring.nvars
-        wedges = exterior_basis(nv, self.p)
-        widx = {w: i for i, w in enumerate(wedges)}
+    def to_vector(self) -> dict:
+        """The nonzero coordinates, as a row dict {index: coeff}."""
+        widx = {w: i for i, w in enumerate(exterior_basis(self.scheme.ring.nvars, self.p))}
         monos = self.scheme.ideal.standard_monomials(1)
-        vmap = {}
-        for i, m in enumerate(monos):
-            vmap[m.index(1)] = i
-        vec = np.zeros(len(wedges) * len(monos), dtype=np.int64)
-        for (wedge, var), c in self.coeffs.items():
-            vec[widx[wedge] * len(monos) + vmap[var]] = c
-        return vec
+        vmap = {m.index(1): i for i, m in enumerate(monos)}
+        return {
+            widx[wedge] * len(monos) + vmap[var]: c
+            for (wedge, var), c in self.coeffs.items()
+        }
 
     @classmethod
-    def from_vector(cls, scheme: EmbeddedScheme, p: int, vec) -> "KoszulCocycle":
-        nv = scheme.ring.nvars
-        wedges = exterior_basis(nv, p)
+    def from_vector(cls, scheme: EmbeddedScheme, p: int, vec: dict) -> "KoszulCocycle":
+        """The cocycle with coordinates the row dict {index: coeff}."""
+        wedges = exterior_basis(scheme.ring.nvars, p)
         monos = scheme.ideal.standard_monomials(1)
         vars_of = [m.index(1) for m in monos]
         coeffs = {}
-        vec = np.asarray(vec).reshape(-1)
-        for idx, c in enumerate(vec):
+        for idx, c in sorted(vec.items()):
             c = int(c) % scheme.char
             if c:
                 w = wedges[idx // len(monos)]
@@ -313,10 +310,9 @@ class KoszulCocycle:
         ints over the columns of delta at the nonzero coefficients."""
         columns = _koszul_columns(self.scheme, self.p, 1, entry_budget).rows
         image: dict[int, int] = {}
-        for col, c in zip(columns, self.to_vector().tolist()):
-            if c:
-                for r, v in col.items():
-                    image[r] = image.get(r, 0) + c * v
+        for idx, c in self.to_vector().items():
+            for r, v in columns[idx].items():
+                image[r] = image.get(r, 0) + c * v
         char = self.scheme.char
         return not any(v % char for v in image.values())
 
@@ -359,10 +355,12 @@ class KoszulCocycle:
         return cls(scheme, p, coeffs)
 
 
-def coboundary_rows(scheme: EmbeddedScheme, p: int, entry_budget: int | None = None):
-    """Image of delta_{p+1,0} as row vectors in the (wedge, var) layout."""
-    mat = koszul_matrix(scheme, p + 1, 0, entry_budget)
-    return mat.T % scheme.char
+def coboundary_rows(
+    scheme: EmbeddedScheme, p: int, entry_budget: int | None = None
+) -> SparseRows:
+    """Image of delta_{p+1,0} as row vectors in the (wedge, var) layout:
+    the columns of delta_{p+1,0}."""
+    return _koszul_columns(scheme, p + 1, 0, entry_budget)
 
 
 def k_p1_cocycle_basis(
@@ -374,11 +372,11 @@ def k_p1_cocycle_basis(
     come from the canonical complement construction, so a fixed scheme and p
     always produce the same list.
     """
-    mat = koszul_matrix(scheme, p, 1, entry_budget)
-    ker = kernel_basis(mat, scheme.char)
+    delta = _koszul_columns(scheme, p, 1, entry_budget).transpose()
+    ker = kernel_basis(delta, scheme.char)
     cob = coboundary_rows(scheme, p, entry_budget)
     reps = complement_basis(cob, ker, scheme.char)
-    return [KoszulCocycle.from_vector(scheme, p, row) for row in reps]
+    return [KoszulCocycle.from_vector(scheme, p, row) for row in reps.rows]
 
 
 def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = None) -> bool:
@@ -386,11 +384,13 @@ def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = Non
     from .exactalg import in_span
 
     scheme = cocycle.scheme
-    vec = cocycle.to_vector()
-    if not np.any(vec):
+    if not cocycle.coeffs:
         return True
     cob = coboundary_rows(scheme, cocycle.p, entry_budget)
-    ok, _ = in_span(vec, cob.T, scheme.char)
+    vec = [0] * cob.ncols
+    for idx, c in cocycle.to_vector().items():
+        vec[idx] = c
+    ok, _ = in_span(vec, cob.transpose(), scheme.char)
     return ok
 
 
@@ -438,7 +438,8 @@ def linear_strand_dim_from_ideal(scheme: EmbeddedScheme, p: int) -> int:
     tgt_index = {w: i for i, w in enumerate(tgt_wedges)}
     cols = len(src_wedges) * len(quad_basis)
     rows = len(tgt_wedges) * len(nonstd3)
-    mat = np.zeros((rows, cols), dtype=np.int64)
+    # dense int rows: the traced benchmark reads this matrix as an array
+    mat = [[0] * cols for _ in range(rows)]
     ci = 0
     for wedge in src_wedges:
         for f in quad_basis:
@@ -451,9 +452,8 @@ def linear_strand_dim_from_ideal(scheme: EmbeddedScheme, p: int) -> int:
                 for m, c in prod.terms.items():
                     j = pos3.get(m)
                     if j is not None:
-                        mat[base + j, ci] += sign * c
+                        mat[base + j][ci] = (mat[base + j][ci] + sign * c) % char
             ci += 1
-    mat %= char
     if rows == 0:
         return cols
     return cols - len(rref(mat, char)[1])
@@ -555,7 +555,7 @@ def minimal_free_resolution(
                         for mm, c in entry.terms.items():
                             shifted = tuple(a + b for a, b in zip(mm, m))
                             rows[row_pos[(i, shifted)]][ci] = c
-                return sparse_rows(kernel_basis(SparseRows(rows, len(cols)), char), char)
+                return kernel_basis(SparseRows(rows, len(cols)), char)
 
             def coord_layout(d: int, _pd=prev_degrees):
                 out = []
@@ -600,13 +600,13 @@ def minimal_free_resolution(
                     for v in range(nv):
                         old_rows.append({shift[idx][v]: c for idx, c in row.items()})
             new = complement_basis(SparseRows(old_rows, len(layout)), ker, char)
-            for row in new:
+            for row in new.rows:
                 vec: list[Polynomial] = []
                 for j in range(len(prev_degrees)):
                     vec.append(ring.zero())
-                for idx in np.flatnonzero(row).tolist():
+                for idx, c in sorted(row.items()):
                     j, m = layout[idx]
-                    vec[j] = vec[j] + ring.monomial(m, int(row[idx]))
+                    vec[j] = vec[j] + ring.monomial(m, c)
                 new_degrees.append(d)
                 new_vectors.append(vec)
             # the full kernel piece (not just new gens) feeds the next degree

@@ -36,8 +36,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 
-import numpy as np
-
 from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import FieldSpec, rank as matrix_rank
 
@@ -137,6 +135,14 @@ def _mul_dict(f: dict, g: dict, p: int) -> dict:
             elif m in out:
                 del out[m]
     return out
+
+
+def _square_rows(matrix, n: int, p: int, what: str) -> list[list[int]]:
+    """An n x n matrix as int rows reduced mod p; InputError otherwise."""
+    a = [[int(v) % p for v in row] for row in matrix]
+    if len(a) != n or any(len(row) != n for row in a):
+        raise InputError(f"{what} must be {n}x{n}")
+    return a
 
 
 def _divmask(m: Mono) -> int:
@@ -440,14 +446,12 @@ class Polynomial:
         """Substitute x_i -> sum_j matrix[i][j] * x_j."""
         ring = self.ring
         p = ring.char
-        a = np.asarray(matrix, dtype=np.int64) % p
-        if a.shape != (ring.nvars, ring.nvars):
-            raise InputError(f"substitution matrix must be {ring.nvars}x{ring.nvars}")
+        a = _square_rows(matrix, ring.nvars, p, "substitution matrix")
         lin = []
         for i in range(ring.nvars):
             row = {}
             for j in range(ring.nvars):
-                c = int(a[i, j])
+                c = a[i][j]
                 if c:
                     e = [0] * ring.nvars
                     e[j] = 1
@@ -1095,10 +1099,8 @@ class Ideal:
     def change_coordinates(self, matrix) -> "Ideal":
         """Apply the substitution x_i -> sum_j matrix[i][j] x_j to every
         generator.  The matrix must be invertible mod p."""
-        a = np.asarray(matrix, dtype=np.int64) % self.ring.char
         n = self.ring.nvars
-        if a.shape != (n, n):
-            raise InputError(f"coordinate change must be {n}x{n}")
+        a = _square_rows(matrix, n, self.ring.char, "coordinate change")
         if matrix_rank(a, self.ring.char) != n:
             raise InputError("coordinate change matrix is singular")
         return Ideal(self.ring, [g.substitute_linear(a) for g in self.gens])

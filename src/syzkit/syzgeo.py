@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConsistencyError, InputError
-from .exactalg import in_span, kernel_basis, matrix_inverse, rank as matrix_rank
+from .exactalg import SparseRows, in_span, kernel_basis, matrix_inverse, rank as matrix_rank
 from .koszul import (
     KoszulCocycle,
     exterior_basis,
     koszul_matrix,
+    koszul_space_dim,
     removal_sign,
 )
 from .polyring import EmbeddedScheme, Ideal, Polynomial
@@ -159,13 +158,13 @@ def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
 # moving a point to the distinguished position
 
 
-def _wedge_minors(a: np.ndarray, wedge: tuple, char: int) -> dict:
+def _wedge_minors(a: list, wedge: tuple, char: int) -> dict:
     """{K: det a[wedge, K] mod char} over the column subsets K with a nonzero
     minor: the coefficients of the exterior product of the rows a[i], i in
     wedge, expanded over their nonzero entries with exact Python ints."""
     terms = {(): 1}
     for i in wedge:
-        row = [(j, int(v)) for j, v in enumerate(a[i]) if v]
+        row = [(j, v) for j, v in enumerate(a[i]) if v]
         grown: dict = {}
         for K, c in terms.items():
             for j, v in row:
@@ -179,22 +178,21 @@ def _wedge_minors(a: np.ndarray, wedge: tuple, char: int) -> dict:
     return {K: d for K, d in sorted(terms.items()) if d}
 
 
-def move_point_matrix(point: ProjectivePoint) -> np.ndarray:
-    """Substitution matrix A with the point as last column and identity
-    columns elsewhere: the coordinate change f -> f(A x) carries the zero
-    set so that the point lands on [0 : ... : 0 : 1]."""
+def move_point_matrix(point: ProjectivePoint) -> list[list[int]]:
+    """Substitution matrix A, as int rows, with the point as last column
+    and identity columns elsewhere: the coordinate change f -> f(A x)
+    carries the zero set so that the point lands on [0 : ... : 0 : 1]."""
     n = len(point.coords)
     pivot = max(i for i, c in enumerate(point.coords) if c)
     cols = [i for i in range(n) if i != pivot]
-    mat = np.zeros((n, n), dtype=np.int64)
+    mat = [[0] * (n - 1) + [c] for c in point.coords]
     for j, i in enumerate(cols):
-        mat[i, j] = 1
-    mat[:, n - 1] = point.coords
+        mat[i][j] = 1
     return mat
 
 
 def transform_cocycle(
-    cocycle: KoszulCocycle, matrix: np.ndarray, target: EmbeddedScheme
+    cocycle: KoszulCocycle, matrix, target: EmbeddedScheme
 ) -> KoszulCocycle:
     """Transport a cocycle along the substitution x_i -> sum_j m[i][j] x_j.
 
@@ -202,7 +200,7 @@ def transform_cocycle(
     linearly; the result is a cocycle for the transformed scheme."""
     char = cocycle.scheme.char
     nv = cocycle.scheme.ring.nvars
-    a = np.asarray(matrix, dtype=np.int64) % char
+    a = [[int(v) % char for v in row] for row in matrix]
     p = cocycle.p
     out: dict = {}
     minor_cache: dict = {}
@@ -212,7 +210,7 @@ def transform_cocycle(
             minors = minor_cache[wedge] = _wedge_minors(a, wedge, char)
         for K, d in minors.items():
             for l in range(nv):
-                al = int(a[var, l])
+                al = a[var][l]
                 if not al:
                     continue
                 key = (K, l)
@@ -231,8 +229,8 @@ class ProjectionContext:
 
     source: EmbeddedScheme
     point: ProjectivePoint
-    matrix: np.ndarray
-    matrix_inv: np.ndarray
+    matrix: list
+    matrix_inv: list
     moved: EmbeddedScheme
     projected: EmbeddedScheme
 
@@ -293,39 +291,37 @@ def _route_b_holds(ctx: ProjectionContext, moved_cocycle: KoszulCocycle) -> bool
     wedges = exterior_basis(n, p - 1)
     widx = {w: i for i, w in enumerate(wedges)}
     dim = len(wedges) * nv
-    gvec = np.zeros(dim, dtype=np.int64)
+    gvec = [0] * dim
     for (wedge, var), c in gamma.items():
         if any(i >= n for i in wedge):
             raise ConsistencyError("contracted wedge escaped the hyperplane")
         gvec[widx[wedge] * nv + var] = c
-    if not np.any(gvec):
+    if not any(gvec):
         return True
     span_rows = []
     # cocycles of the projected scheme, embedded (second factor stays < n)
     y = ctx.projected
     ymat = koszul_matrix(y, p - 1, 1)
-    if ymat.shape[1]:
+    width = koszul_space_dim(y, p - 1, 1)
+    if width:
         # kernel coordinates follow the koszul_matrix column layout:
         # wedge-major, then standard degree-1 monomials of the projection
         ymonos = y.ideal.standard_monomials(1)
-        for row in kernel_basis(ymat, char):
-            vec = np.zeros(dim, dtype=np.int64)
-            for idx, c in enumerate(row):
-                if c:
-                    wedge = wedges[idx // len(ymonos)]
-                    var = ymonos[idx % len(ymonos)].index(1)
-                    vec[widx[wedge] * nv + var] = c
+        for row in kernel_basis(ymat or SparseRows([], width), char).rows:
+            vec = {}
+            for idx, c in row.items():
+                wedge = wedges[idx // len(ymonos)]
+                var = ymonos[idx % len(ymonos)].index(1)
+                vec[widx[wedge] * nv + var] = c
             span_rows.append(vec)
     # W-coboundaries: differentials of pure wedges in the first n coords
     for K in exterior_basis(n, p):
-        vec = np.zeros(dim, dtype=np.int64)
-        for k, i in enumerate(K):
-            vec[widx[K[:k] + K[k + 1 :]] * nv + i] = removal_sign(k) % char
-        span_rows.append(vec)
+        span_rows.append(
+            {widx[K[:k] + K[k + 1 :]] * nv + i: removal_sign(k) for k, i in enumerate(K)}
+        )
     if not span_rows:
         return False
-    mat = np.array(span_rows, dtype=np.int64).T % char
-    ok, _ = in_span(gvec, mat, char)
+    ok, _ = in_span(gvec, SparseRows(span_rows, dim).transpose(), char)
     return ok
 
 
@@ -447,8 +443,7 @@ def reconstruct_from_projections(
     for pt in pts:
         if not scheme.contains(pt.coords):
             raise InputError(f"reconstruction point {pt.coords} is not on the scheme")
-    coords = np.array([pt.coords for pt in pts], dtype=np.int64)
-    if matrix_rank(coords, char) != scheme.ring.nvars:
+    if matrix_rank([pt.coords for pt in pts], char) != scheme.ring.nvars:
         raise InputError("reconstruction points do not span the ambient space")
     syz = syzygy_scheme(cocycle)  # validates the class is nonzero
     cones = []

@@ -251,8 +251,8 @@ def _differential_squares_to_zero(char: int) -> bool:
     ]
     for scheme in schemes:
         for p, q in [(2, 0), (2, 1), (3, 0), (1, 1), (3, 1), (2, 2)]:
-            first = koszul_matrix(scheme, p, q)
-            second = koszul_matrix(scheme, p - 1, q + 1)
+            first = np.asarray(koszul_matrix(scheme, p, q))
+            second = np.asarray(koszul_matrix(scheme, p - 1, q + 1))
             if first.size and second.size and np.any((second @ first) % char):
                 return False
     return True
@@ -277,7 +277,7 @@ def _perturbation_invariance(char: int, perturbations: int = 20) -> bool:
     ]
     rng = np.random.default_rng(8)
     for scheme, p in instances:
-        rows = coboundary_rows(scheme, p)
+        rows = coboundary_rows(scheme, p).rows
         for alpha in k_p1_cocycle_basis(scheme, p):
             base = syzygy_scheme(alpha).scheme.ideal
             for _ in range(perturbations):

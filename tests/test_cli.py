@@ -13,8 +13,11 @@ output are exactly what a shell user sees.  Oracles:
 """
 
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -435,3 +438,45 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["betti", "--help"]) == 0
     capsys.readouterr()
+
+
+# Run in a fresh interpreter: importing syzkit.cli and a deterministic
+# command load no numpy; the first random draw does, and draws the same
+# complete intersection as before.
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from syzkit.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return json.loads(out.getvalue())
+
+run(["betti", "rnc 4", "--json"])
+assert "numpy" not in sys.modules, "numpy loaded by a deterministic command"
+report = run(["betti", "ci 2 3", "--json"])
+assert "numpy" in sys.modules
+from syzkit.builders import complete_intersection
+print(json.dumps({
+    "table": {f"{e['p']},{e['q']}": e["value"]
+              for e in report["payload"]["table"]["entries"] if e["value"]},
+    "quadric": str(complete_intersection((2, 3)).ideal.gens[0]),
+}))
+"""
+
+
+def test_deterministic_commands_do_not_import_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["table"] == {"0,0": 1, "1,1": 1, "1,2": 1, "2,3": 1}
+    assert got["quadric"] == (
+        "27222*x0^2 + 20384*x0*x1 + 16357*x1^2 + 8633*x0*x2 + 9851*x1*x2 + 1311*x2^2"
+        " + 2407*x0*x3 + 528*x1*x3 + 5609*x2*x3 + 26027*x3^2"
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,15 @@ def naive_rref(m, p):
     return np.array(a[:r], dtype=np.int64).reshape(r, ncols), pivots
 
 
+def dense(m: SparseRows) -> np.ndarray:
+    """A row-form result as a dense int64 array."""
+    out = np.zeros((len(m.rows), m.ncols), dtype=np.int64)
+    for i, row in enumerate(m.rows):
+        for c, v in row.items():
+            out[i, c] = v
+    return out
+
+
 def test_field_spec_validates_prime():
     FieldSpec(32003)
     FieldSpec(2)
@@ -65,7 +76,7 @@ def test_default_chars_are_prime_and_3_mod_4():
 
 def test_rref_spec_kernel_example():
     # kernel of [[1,2],[2,4]] over F_7 is spanned by (-2, 1) = (5, 1)
-    k = kernel_basis([[1, 2], [2, 4]], 7)
+    k = dense(kernel_basis([[1, 2], [2, 4]], 7))
     assert k.shape == (1, 2)
     assert list(k[0]) == [5, 1]
 
@@ -80,9 +91,9 @@ def test_in_span_example():
 def test_zero_and_empty_matrices():
     p = 32003
     r, piv = rref(np.zeros((3, 4), dtype=np.int64), p)
-    assert r.shape == (0, 4) and piv == []
+    assert dense(r).shape == (0, 4) and piv == []
     assert rank(np.zeros((0, 5), dtype=np.int64), p) == 0
-    k = kernel_basis(np.zeros((0, 3), dtype=np.int64), p)
+    k = dense(kernel_basis(SparseRows([], 3), p))
     assert k.shape == (3, 3)
     assert np.array_equal(k, np.eye(3, dtype=np.int64))
 
@@ -100,7 +111,7 @@ def test_rref_matches_naive(nrows, ncols, p, seed):
     r1, p1 = rref(a, p)
     r2, p2 = naive_rref(a, p)
     assert p1 == p2
-    assert np.array_equal(r1, r2)
+    assert np.array_equal(dense(r1), r2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +120,7 @@ def test_kernel_properties(nrows, ncols, seed):
     p = 32003
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(nrows, ncols), dtype=np.int64)
-    k = kernel_basis(a, p)
+    k = dense(kernel_basis(a, p))
     assert rank(a, p) + k.shape[0] == ncols
     if k.size:
         assert not np.any((a @ k.T) % p)
@@ -127,7 +138,7 @@ def test_blocking_invariance_on_tall_matrix():
     a[700, 0] = 5  # pivot for column 0 appears only in the second block
     r1, piv1 = rref(a, p)
     r2, piv2 = naive_rref(a, p)
-    assert piv1 == piv2 and np.array_equal(r1, r2)
+    assert piv1 == piv2 and np.array_equal(dense(r1), r2)
 
 
 def test_rref_idempotent():
@@ -136,7 +147,7 @@ def test_rref_idempotent():
     a = rng.integers(0, p, size=(30, 17), dtype=np.int64)
     r, piv = rref(a, p)
     r2, piv2 = rref(r, p)
-    assert piv == piv2 and np.array_equal(r, r2)
+    assert piv == piv2 and np.array_equal(dense(r), dense(r2))
 
 
 def test_in_span_witness_random():
@@ -154,21 +165,21 @@ def test_complement_basis_properties():
     p = 7
     sub = np.array([[1, 1, 0]], dtype=np.int64)
     full = np.array([[1, 0, 1], [0, 1, 6], [1, 1, 0]], dtype=np.int64)
-    comp = complement_basis(sub, full, p)
+    comp = dense(complement_basis(sub, full, p))
     assert comp.shape[0] == 1
     # comp together with sub spans sub+full, and comp is independent of sub
     assert rank(np.vstack([sub, comp]), p) == 2
     joint = np.vstack([sub, full])
     assert rank(joint, p) == 2
     # canonical: depends only on the row spaces
-    comp2 = complement_basis(2 * sub % p, np.vstack([full, (3 * full) % p]), p)
+    comp2 = dense(complement_basis(2 * sub % p, np.vstack([full, (3 * full) % p]), p))
     assert np.array_equal(comp, comp2)
 
 
 def test_complement_of_zero_sub():
     p = 7
     full = np.array([[2, 4], [1, 2]], dtype=np.int64)
-    comp = complement_basis(np.zeros((0, 2), dtype=np.int64), full, p)
+    comp = dense(complement_basis(SparseRows([], 2), full, p))
     assert comp.shape == (1, 2)
     assert list(comp[0]) == [1, 2]
 
@@ -211,7 +222,7 @@ def test_sparse_rref_matches_naive(blocks, density, p, seed):
     r1, p1 = rref(a, p)
     r2, p2 = naive_rref(a, p)
     assert p1 == p2
-    assert np.array_equal(r1, r2)
+    assert np.array_equal(dense(r1), r2)
     assert rank(a, p) == len(p2)
 
 
@@ -228,18 +239,32 @@ def test_row_form_equals_dense_form():
     snapshot = [dict(row) for row in rows]
 
     ker = kernel_basis(SparseRows(rows, 25), p)
-    assert ker.dtype == np.int64
-    assert np.array_equal(ker, kernel_basis(a, p))
+    assert isinstance(ker, SparseRows)
+    assert ker == kernel_basis(a, p)
     comp = complement_basis(SparseRows(rows[:15], 25), SparseRows(rows[15:], 25), p)
-    assert comp.dtype == np.int64
-    assert np.array_equal(comp, complement_basis(a[:15], a[15:], p))
-    assert np.array_equal(comp, complement_basis(SparseRows(rows[:15], 25), a[15:], p))
-    assert np.array_equal(
-        complement_basis(SparseRows([], 25), SparseRows(rows, 25), p),
-        complement_basis(np.zeros((0, 25), dtype=np.int64), a, p),
+    assert isinstance(comp, SparseRows)
+    assert comp == complement_basis(a[:15], a[15:], p)
+    assert comp == complement_basis(SparseRows(rows[:15], 25), a[15:], p)
+    assert complement_basis(SparseRows([], 25), SparseRows(rows, 25), p) == complement_basis(
+        SparseRows([], 25), a, p
     )
     assert rows == snapshot
 
+
+def test_reduced_input_rows_are_never_written():
+    # reduced rows with lead value 1 need no work in the forward pass, and
+    # the back pass then clears column 1 from the first one
+    p = 7
+    rows = [{0: 1, 1: 1, 2: 3}, {1: 1, 2: 2}]
+    snapshot = [dict(row) for row in rows]
+    m = SparseRows(rows, 3)
+    assert rref(m, p) == (SparseRows([{0: 1, 2: 1}, {1: 1, 2: 2}], 3), [0, 1])
+    assert kernel_basis(m, p) == SparseRows([{2: 1, 0: 6, 1: 5}], 3)
+    assert complement_basis(SparseRows(rows[1:], 3), m, p) == SparseRows([{0: 1, 2: 1}], 3)
+    assert in_span([1, 2], m, p) == (True, [6, 2, 0])
+    square = [{0: 1, 1: 1}, {1: 1}]
+    assert matrix_inverse(SparseRows(square, 2), p) == [[1, 6], [0, 1]]
+    assert rows == snapshot and square == [{0: 1, 1: 1}, {1: 1}]
 
 def test_inverse_and_span_at_the_largest_prime():
     p = LARGEST_CHAR
@@ -247,11 +272,102 @@ def test_inverse_and_span_at_the_largest_prime():
     a = rng.integers(0, p, size=(6, 6), dtype=np.int64)
     ainv = matrix_inverse(a, p)
     # products of two entries near 2**31 overflow int64 sums: check in ints
-    prod = a.astype(object) @ ainv.astype(object) % p
+    prod = a.astype(object) @ np.array(ainv, dtype=object) % p
     assert np.array_equal(prod, np.eye(6, dtype=object))
     m = rng.integers(0, p, size=(9, 4), dtype=np.int64)
     x = rng.integers(0, p, size=4, dtype=np.int64)
     v = m.astype(object) @ x.astype(object) % p
     ok, w = in_span(v.astype(np.int64), m, p)
     assert ok
-    assert not np.any((m.astype(object) @ w.astype(object) - v) % p)
+    assert not np.any((m.astype(object) @ np.array(w, dtype=object) - v) % p)
+
+
+def _as_form(a: np.ndarray, form: str):
+    """The matrix a as SparseRows, as a list of int rows, or as it is."""
+    if form == "sparse":
+        rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+        return SparseRows(rows, a.shape[1])
+    return a.tolist() if form == "list" else a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from([0.3, 0.7, 1.0]),
+    st.sampled_from([2, 3, 32003, LARGEST_CHAR]),
+    st.sampled_from(["sparse", "list", "ndarray"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_form_results_match_naive_rref(nrows, ncols, density, p, form, seed):
+    # entries in (-2p, 2p), so every function reduces its input itself
+    rng = np.random.default_rng(seed)
+    mask = rng.random((nrows, ncols)) < density
+    a = np.where(mask, rng.integers(-2 * p + 1, 2 * p, size=(nrows, ncols)), 0)
+    m = _as_form(a, form)
+    snapshot = [dict(row) for row in m.rows] if form == "sparse" else None
+
+    reduced, pivots = naive_rref(a, p)
+    r, piv = rref(m, p)
+    assert piv == pivots
+    assert np.array_equal(dense(r), reduced)
+
+    # the kernel read off the naive RREF: e_f minus the pivot entries at f
+    free = [c for c in range(ncols) if c not in pivots]
+    want = np.zeros((len(free), ncols), dtype=np.int64)
+    for i, f in enumerate(free):
+        want[i, f] = 1
+        for k, c in enumerate(pivots):
+            want[i, c] = -reduced[k, f] % p
+    assert np.array_equal(dense(kernel_basis(m, p)), want)
+
+    # the complement of the first row: the naive RREF rows of the whole
+    # matrix whose pivots are not that row's pivot
+    sub = a[:1]
+    sub_piv = naive_rref(sub, p)[1]
+    keep = [k for k, c in enumerate(pivots) if c not in sub_piv]
+    assert np.array_equal(dense(complement_basis(_as_form(sub, form), m, p)), reduced[keep])
+
+    # in_span against the naive RREF of [a | v], for a v in the span and a
+    # random one
+    x = rng.integers(0, p, size=ncols)
+    for v in [(a.astype(object) @ x.astype(object)) % p, rng.integers(0, p, size=nrows)]:
+        aug_reduced, aug_piv = naive_rref(np.column_stack([a % p, np.asarray(v, dtype=np.int64)]), p)
+        ok, w = in_span(list(v), m, p)
+        assert ok == (ncols not in aug_piv)
+        if ok:
+            want_w = [0] * ncols
+            for k, c in enumerate(aug_piv):
+                want_w[c] = int(aug_reduced[k, ncols])
+            assert w == want_w
+        else:
+            assert w is None
+
+    # the inverse of the leading square block, from the naive RREF of [b | 1]
+    n = min(nrows, ncols)
+    b = a[:n, :n]
+    aug_reduced, aug_piv = naive_rref(np.hstack([b, np.eye(n, dtype=np.int64)]), p)
+    if aug_piv[:n] == list(range(n)):
+        assert matrix_inverse(_as_form(b, form), p) == aug_reduced[:, n:].tolist()
+    else:
+        with pytest.raises(ValueError):
+            matrix_inverse(_as_form(b, form), p)
+
+    if snapshot is not None:
+        assert m.rows == snapshot
+
+
+def test_kernel_basis_stays_sparse():
+    # one row of 3000 ones: the kernel has 2999 rows of two entries each,
+    # where a dense result would take 2999 x 3000 int64s, 72 MB
+    m = SparseRows([{c: 1 for c in range(3000)}], 3000)
+    tracemalloc.start()
+    try:
+        ker = kernel_basis(m, DEFAULT_CHAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert ker.ncols == 3000 and len(ker.rows) == 2999
+    assert ker.rows[0] == {1: 1, 0: DEFAULT_CHAR - 1}
+    assert m.rows[0] == {c: 1 for c in range(3000)}

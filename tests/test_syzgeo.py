@@ -112,7 +112,7 @@ def test_non_cocycle_rejected(tc):
 
 
 def test_zero_class_rejected(tc):
-    row = coboundary_rows(tc, 2)[0]
+    row = coboundary_rows(tc, 2).rows[0]
     cob = KoszulCocycle.from_vector(tc, 2, row)
     assert cob.coeffs  # a nonzero representative of the zero class
     assert syzygy_quadrics(cob) == {}
@@ -122,7 +122,7 @@ def test_zero_class_rejected(tc):
 
 def test_quadrics_are_representative_independent(tc):
     alpha = k_p1_cocycle_basis(tc, 2)[0]
-    row = coboundary_rows(tc, 2)[1]
+    row = coboundary_rows(tc, 2).rows[1]
     cob = KoszulCocycle.from_vector(tc, 2, row)
     shifted = alpha.add(cob)
     assert shifted.coeffs != alpha.coeffs
@@ -171,7 +171,7 @@ def test_wedge1_classes_give_quadric_hypersurfaces(tc):
 
 def test_move_point_matrix_sends_last_basis_vector_to_point():
     pt = ProjectivePoint.make(CHAR, (1, 2, 3, 4))
-    mat = move_point_matrix(pt)
+    mat = np.asarray(move_point_matrix(pt))
     assert list(mat[:, 3]) == list(pt.coords)
     # the moved ideal contains the distinguished point
     ring = PolyRing(CHAR, ("x0", "x1", "x2", "x3"))
@@ -308,7 +308,7 @@ def test_membership_wedge2(tc):
 
 
 def test_membership_rejects_zero_class(tc):
-    row = coboundary_rows(tc, 2)[0]
+    row = coboundary_rows(tc, 2).rows[0]
     cob = KoszulCocycle.from_vector(tc, 2, row)
     with pytest.raises(InputError, match="zero class"):
         syz_membership(cob, (1, 0, 0, 0))
