@@ -444,6 +444,8 @@ def implicitize_kernel(model: PlaneModel, forms, max_degree: int = 3) -> Ideal:
     comparing the Hilbert function of the generated ideal against the rank
     of the substitution matrix one degree further (they agree exactly when
     no new generators live there)."""
+    if max_degree < 2:
+        raise InputError(f"implicitization cutoff must be at least 2, got {max_degree}")
     if len({f.degree() for f in forms}) != 1:
         raise InputError("implicitization expects forms of one common degree")
     char = model.char

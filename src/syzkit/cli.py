@@ -193,7 +193,7 @@ def _context(args, argv) -> RunContext:
         argv=argv,
         char=char,
         seed=args.seed,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         json_out=args.json,
         entry_budget=(
             args.entry_budget if args.entry_budget is not None else DEFAULT_ENTRY_BUDGET
@@ -274,6 +274,14 @@ def _read_ideal(path: str, ctx: RunContext) -> Ideal:
     return ideal
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _build_plane_model(positional: list, options: dict, ctx: RunContext):
     if positional or "file" not in options:
         raise InputError(
@@ -317,6 +325,8 @@ def build_recipe(text: str, ctx: RunContext) -> EmbeddedScheme:
     elif kind == "ci":
         degrees = _ints(positional, "ci degrees")
         seed = _ints(options.get("seed", [str(ctx.seed)]), "seed")[0]
+        if seed < 0:
+            raise InputError(f"ci recipe seed must be at least 0, got {seed}")
         scheme = complete_intersection(tuple(degrees), ctx.char, seed=seed)
     else:
         scheme = _build_plane_model(positional, options, ctx)
@@ -495,8 +505,7 @@ def cmd_syzscheme(args, ctx: RunContext) -> int:
         },
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     _emit(ctx, payload, [f"wrote {args.out}" if args.out else text.rstrip("\n")])
     return 0
 
@@ -638,8 +647,7 @@ def cmd_build(args, ctx: RunContext) -> int:
     payload = {"scheme": summary, "ideal": _ideal_json(scheme.ideal)}
     if args.out:
         comments = [f"built from: {args.source}", f"labels: {json.dumps(summary['labels'], sort_keys=True)}"]
-        with open(args.out, "w") as fh:
-            fh.write(format_ideal_text(scheme.ideal, comments))
+        _write_text(args.out, format_ideal_text(scheme.ideal, comments))
     hd = summary["hilbert"]
     _emit(ctx, payload, [
         f"# built: {args.source}",
@@ -1348,9 +1356,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-char", type=int, default=None, metavar="P",
                         help=f"prime field characteristic (default {DEFAULT_CHAR})")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
+    common.add_argument("--seed", type=_at_least(0), default=0, metavar="N",
                         help="seed for every pseudorandom draw (default 0)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
+    common.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                         help="parallel case execution for verify (default 1)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")

@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref
@@ -475,7 +476,6 @@ class Resolution:
     degree bound heuristics."""
 
     ideal: Ideal
-    degree_bound: int
     modules: list
     maps: list
     truncated: bool
@@ -516,58 +516,19 @@ def minimal_free_resolution(
     modules: list[list[int]] = [[0]]
     maps: list[list[list[Polynomial]]] = []
 
-    # generator vectors of F_s over F_{s-1}, as lists of Polynomials
-    prev_gen_vectors: list[list[Polynomial]] | None = None
+    def layout(degrees: list[int], d: int):
+        """The degree-d coordinates (j, m) of the free module with
+        generators in `degrees`, and the position of each."""
+        coords = [
+            (j, m) for j, dj in enumerate(degrees) for m in ring.monomials_of_degree(d - dj)
+        ]
+        return coords, {key: i for i, key in enumerate(coords)}
 
     for step in range(1, length_bound + 1):
-        prev_degrees = modules[step - 1]
-        if step == 1:
-            # kernel pieces are just the graded pieces of the ideal,
-            # in coordinates over the full monomial basis of R_d
-            def kernel_piece(d: int) -> SparseRows:
-                monos = ring.monomials_of_degree(d)
-                pos = {m: i for i, m in enumerate(monos)}
-                rows = [
-                    {pos[m]: c for m, c in g.terms.items()}
-                    for g in ideal.graded_basis(d)
-                ]
-                return SparseRows(rows, len(monos))
-
-            def coord_layout(d: int):
-                return [(0, m) for m in ring.monomials_of_degree(d)]
-
-        else:
-            gen_vectors = prev_gen_vectors
-
-            def kernel_piece(d: int, _gv=gen_vectors, _pd=prev_degrees, _ppd=modules[step - 2]) -> SparseRows:
-                cols = []
-                for j, dj in enumerate(_pd):
-                    for m in ring.monomials_of_degree(d - dj):
-                        cols.append((j, m))
-                row_pos = {}
-                for i, di in enumerate(_ppd):
-                    for m in ring.monomials_of_degree(d - di):
-                        row_pos[(i, m)] = len(row_pos)
-                rows = [{} for _ in row_pos]
-                for ci, (j, m) in enumerate(cols):
-                    for i, entry in enumerate(_gv[j]):
-                        # entry * m, one term at a time
-                        for mm, c in entry.terms.items():
-                            shifted = tuple(a + b for a, b in zip(mm, m))
-                            rows[row_pos[(i, shifted)]][ci] = c
-                return kernel_basis(SparseRows(rows, len(cols)), char)
-
-            def coord_layout(d: int, _pd=prev_degrees):
-                out = []
-                for j, dj in enumerate(_pd):
-                    for m in ring.monomials_of_degree(d - dj):
-                        out.append((j, m))
-                return out
-
+        prev_degrees = modules[-1]
         dmin = min(prev_degrees) + 1
         if step == 1:
-            gb = ideal.groebner()
-            if not gb:
+            if not ideal.groebner():
                 break
             # minimal generators of I are bounded by the top GB degree
             scan_max = min(degree_bound, max(sum(lm) for lm in ideal.lead_monomials()))
@@ -576,41 +537,48 @@ def minimal_free_resolution(
             # the top generator degree on this corpus; the Hilbert-series
             # certificate below flags any truncation this cap would cause
             scan_max = min(degree_bound, 2 * max(prev_degrees))
+            # the previous generators' entries as (row generator, monomial, coefficient)
+            flat = [
+                [(i, mm, c) for i, entry in enumerate(vec) for mm, c in entry.terms.items()]
+                for vec in maps[-1]
+            ]
         new_degrees: list[int] = []
         new_vectors: list[list[Polynomial]] = []
-        # the previous degree's kernel piece, as rows over its layout
+        # the previous degree's kernel piece, as rows over its coordinates
         prev_kernel: list[dict] = []
-        prev_layout = None
+        prev_coords: list = []
         for d in range(dmin, scan_max + 1):
-            layout = coord_layout(d)
-            ker = kernel_piece(d)
-            # span of lower-degree kernel elements, shifted by each variable
-            old_rows = []
-            if prev_kernel:
-                pos = {key: i for i, key in enumerate(layout)}
-                # column of (j, m * x_v) in this degree, per column (j, m)
-                # of the previous degree that some kernel row uses
-                shift = {}
-                for idx in set().union(*prev_kernel):
-                    j, m = prev_layout[idx]
-                    shift[idx] = [
-                        pos[(j, m[:v] + (m[v] + 1,) + m[v + 1 :])] for v in range(nv)
-                    ]
-                for row in prev_kernel:
-                    for v in range(nv):
-                        old_rows.append({shift[idx][v]: c for idx, c in row.items()})
-            new = complement_basis(SparseRows(old_rows, len(layout)), ker, char)
+            coords, pos = layout(prev_degrees, d)
+            if step == 1:
+                # the kernel piece is I_d, over the monomials of R_d
+                rows = [{pos[0, m]: c for m, c in g.terms.items()} for g in ideal.graded_basis(d)]
+                ker = SparseRows(rows, len(coords))
+            else:
+                row_pos = layout(modules[-2], d)[1]
+                rows = [{} for _ in row_pos]
+                for ci, (j, m) in enumerate(coords):
+                    for i, mm, c in flat[j]:
+                        rows[row_pos[i, tuple(map(add, mm, m))]][ci] = c
+                ker = kernel_basis(SparseRows(rows, len(coords)), char)
+            # span of lower-degree kernel elements, shifted by each variable:
+            # the column of (j, m * x_v), per column (j, m) that a row uses
+            shift = {}
+            for idx in set().union(*prev_kernel):
+                j, m = prev_coords[idx]
+                shift[idx] = [pos[j, m[:v] + (m[v] + 1,) + m[v + 1 :]] for v in range(nv)]
+            old_rows = [
+                {shift[idx][v]: c for idx, c in row.items()} for row in prev_kernel for v in range(nv)
+            ]
+            new = complement_basis(SparseRows(old_rows, len(coords)), ker, char)
             for row in new.rows:
-                vec: list[Polynomial] = []
-                for j in range(len(prev_degrees)):
-                    vec.append(ring.zero())
+                terms: list[dict] = [{} for _ in prev_degrees]
                 for idx, c in sorted(row.items()):
-                    j, m = layout[idx]
-                    vec[j] = vec[j] + ring.monomial(m, c)
+                    j, m = coords[idx]
+                    terms[j][m] = c
                 new_degrees.append(d)
-                new_vectors.append(vec)
+                new_vectors.append([Polynomial(ring, t) for t in terms])
             # the full kernel piece (not just new gens) feeds the next degree
-            prev_kernel, prev_layout = ker.rows, layout
+            prev_kernel, prev_coords = ker.rows, coords
         if not new_degrees:
             break
         # minimality check: no unit (degree-zero) entries
@@ -625,7 +593,7 @@ def minimal_free_resolution(
                 for j, entry in enumerate(vec):
                     if not entry:
                         continue
-                    for i, prev_entry in enumerate(prev_gen_vectors[j]):
+                    for i, prev_entry in enumerate(maps[-1][j]):
                         image[i] = image[i] + entry * prev_entry
                 if any(image_entry.terms for image_entry in image):
                     raise ConsistencyError("resolution maps do not compose to zero")
@@ -635,7 +603,6 @@ def minimal_free_resolution(
                     raise ConsistencyError("step-1 generator is not in the ideal")
         modules.append(new_degrees)
         maps.append(new_vectors)
-        prev_gen_vectors = new_vectors
 
     # completeness certificate: alternating degree sum == Hilbert numerator
     euler: dict[int, int] = {0: 1}
@@ -646,10 +613,4 @@ def minimal_free_resolution(
     numer = ideal.hilbert_series_numerator()
     numer_dict = {d: c for d, c in enumerate(numer) if c}
     truncated = euler != numer_dict
-    return Resolution(
-        ideal=ideal,
-        degree_bound=degree_bound,
-        modules=modules,
-        maps=maps,
-        truncated=truncated,
-    )
+    return Resolution(ideal=ideal, modules=modules, maps=maps, truncated=truncated)

@@ -890,12 +890,8 @@ class Ideal:
         return len(self.standard_monomials(d))
 
     def nonstandard_monomials(self, d: int) -> list[Mono]:
-        reducers = self._groebner_entry(DRL)[1]
-        return [
-            m
-            for m in self.ring.monomials_of_degree(d)
-            if _divisor(m, _divmask(m), reducers) is not None
-        ]
+        standard = self.standard_index(d)
+        return [m for m in self.ring.monomials_of_degree(d) if m not in standard]
 
     def graded_basis(self, d: int) -> list[Polynomial]:
         """Basis of the degree-d piece I_d: {m - NF(m)} over nonstandard m.

@@ -343,11 +343,13 @@ def test_build_plane_model_recipe(capsys, tmp_path):
     assert report["payload"]["scheme"]["generators_by_degree"] == {"2": 3, "3": 2}
     # the node must be where the file says it is
     assert main(["build", f"plane-model file={quintic} adjoints=2 node=0,1,0"]) == 2
-    # node= may repeat; the other keys may not, and there are no positionals
+    # node= may repeat; the other keys may not, and there are no positionals;
+    # the implicitization cutoff is at least 2
     for bad in (
         f"plane-model file={quintic} file={quintic} node=0,0,1",
         f"plane-model file={quintic} adjoints=2 adjoints=3 node=0,0,1",
         f"plane-model 2 file={quintic} node=0,0,1",
+        f"plane-model file={quintic} node=0,0,1 cutoff=1",
     ):
         assert main(["build", bad]) == 2
         assert "error:" in capsys.readouterr().err
@@ -396,6 +398,18 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["verify", "ep", "--variety", "rnc 3", "--case", "ep/rnc-3/no-such-case"],
         # the top strand of a line is zero: no class to sample
         ["verify", "ep", "--variety", "scroll 1"],
+        # seeds are non-negative, and --jobs is a count
+        ["betti", "ci 2 3", "--seed", "-1"],
+        ["reconstruct", "rnc 3", "--p", "2", "--seed", "-1"],
+        ["verify", "green-small", "--seed", "-1"],
+        ["verify", "aprodu-proj", "--seed", "-1"],
+        ["verify", "ep", "--seed", "-1"],
+        ["build", "ci 2 3 seed=-5"],
+        ["verify", "ep", "--variety", "rnc 3", "--jobs", "0"],
+        ["verify", "ep", "--variety", "rnc 3", "--jobs", "-3"],
+        # an output path that cannot be written
+        ["build", "rnc 3", "--out", f"{os.devnull}/rnc3.ideal"],
+        ["syzscheme", "rnc 3", "--p", "2", "--out", f"{os.devnull}/syz.ideal"],
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -296,6 +297,32 @@ def test_resolution_zero_ideal():
 def test_resolution_truncation_flag(ci23):
     res = minimal_free_resolution(ci23.ideal, degree_bound=4)
     assert res.truncated  # the degree-5 last syzygy is out of range
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: rational_normal_curve(3),
+         "856a87b54c7a2804c06044e066c9eab7ac234d9a5c87cc908a80ffcd1e609994"),
+        (lambda: scroll((2, 1)),
+         "a0f51b65d2057f8d65e534d1354ce69942a832c3f81b68d5a91075777313982b"),
+        (lambda: scroll((1, 1, 1)),
+         "c51cc7e3a38d930a59511c16a5fa412f887edb4700165171c86fe11cfec42c5a"),
+        (lambda: complete_intersection((2, 3), seed=0),
+         "989e501a6ec11044bcd8b345dcef6e39d90c2ac1766582bb1bfacb96f264fccc"),
+    ],
+    ids=["rnc-3", "scroll-2-1", "scroll-1-1-1", "ci-2-3-seed-0"],
+)
+def test_resolution_maps_pinned(build, digest):
+    # the oracle's generator vectors, not only its degrees, are canonical
+    scheme = build()
+    assert scheme.char == 32003
+    res = minimal_free_resolution(scheme.ideal)
+    blob = json.dumps(
+        {"modules": res.modules, "maps": [[[str(e) for e in v] for v in m] for m in res.maps]},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_koszul_space_dim_edges(tc):
