@@ -197,7 +197,9 @@ def sample_points(scheme: EmbeddedScheme, count: int, seed: int) -> list:
             out.append(pt)
         guard += 1
         if guard > 100 * count + 100:
-            raise ConsistencyError("point sampling failed to find enough points")
+            raise InputError(
+                f"sampling found only {len(out)} of {count} points over F_{scheme.char}"
+            )
     return out
 
 
@@ -366,6 +368,8 @@ def nodal_quintic(node_count: int, char: int = DEFAULT_CHAR, seed: int = 0) -> P
     if node_count not in (1, 2):
         raise InputError("nodal_quintic supports 1 or 2 nodes")
     ring = PolyRing(char, ("x0", "x1", "x2"))
+    if 5 % ring.char == 0:
+        raise InputError("a plane quintic needs a characteristic other than 5")
     node_indices = [2, 1][:node_count]
     nodes = [
         ProjectivePoint.make(char, tuple(1 if i == k else 0 for i in range(3)))
@@ -520,8 +524,7 @@ def implicitize_eliminate(model: PlaneModel, forms) -> Ideal:
     ideal = Ideal(big, gens)
     saturated = ideal.colon_var_saturation(3)
     image = saturated.eliminate((0, 1, 2, 3))
-    parts = [c for g in image.gens for c in g.homogeneous_components()]
-    return Ideal(image.ring, parts)
+    return Ideal(image.ring, image.gens)
 
 
 def model_image(

@@ -259,7 +259,8 @@ def _read_ideal(path: str, ctx: RunContext) -> Ideal:
     """The ideal in a text file, noted as an input.  Its field becomes the
     run's field unless --field-char names another."""
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     ctx.note_input(path, text)
@@ -360,7 +361,8 @@ def select_class(scheme: EmbeddedScheme, args, ctx: RunContext) -> KoszulCocycle
     """The linear-strand class named by --class-file / --p / --class-*."""
     if args.class_file:
         try:
-            data = json.load(open(args.class_file))
+            with open(args.class_file) as fh:
+                data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read class file {args.class_file}: {exc}") from None
         ctx.note_input(args.class_file, json.dumps(data, sort_keys=True))

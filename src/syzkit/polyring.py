@@ -22,8 +22,10 @@ intersection via the t-trick); everything else in the package is graded.
   before the exponents are compared, and detects coprime pairs.
 - S-pairs go through the Gebauer-Moeller update (criteria B, M and F) and
   are taken by least lcm.
-- An Ideal caches its reduced GB together with the lead terms and keyed
-  tails, in one entry per order.
+- An Ideal caches its reduced GB, with the lead terms and keyed tails, in
+  one entry per order.  Every GB lives there, eliminations included, and
+  that entry is the only caller of `buchberger`.  Colons I : x_i^infinity
+  read the GB in degrevlex with x_i last (Bayer-Stillman), in the same ring.
 """
 
 from __future__ import annotations
@@ -76,13 +78,17 @@ def _drl_int(e) -> int:
 
 
 class DegRevLex:
-    """Degree reverse lexicographic order, x0 > x1 > ... > xn."""
+    """Degree reverse lexicographic order, x0 > x1 > ... > xn.  With
+    `last=i`, x_i moves below every other variable, which keep their order."""
 
-    name = "degrevlex"
+    def __init__(self, last: int | None = None):
+        self.last = last
+        self.name = "degrevlex" if last is None else f"degrevlex(last={last})"
 
-    @staticmethod
-    def key(e: Mono) -> int:
+    def key(self, e: Mono) -> int:
         _check_degree(e)
+        if self.last is not None:
+            e = e[: self.last] + e[self.last + 1 :] + (e[self.last],)
         return _drl_int(e)
 
 
@@ -414,13 +420,6 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> list["Polynomial"]:
-        """Graded pieces, by increasing degree."""
-        by_deg: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            by_deg.setdefault(sum(m), {})[m] = c
-        return [Polynomial(self.ring, by_deg[d]) for d in sorted(by_deg)]
-
     def lead_monomial(self, order=DRL) -> Mono:
         return max(self.terms, key=order.key)
 
@@ -477,24 +476,6 @@ class Polynomial:
                     term = _mul_dict(term, lin_pow(i, e), p)
             _add_into(out, term, 1, p)
         return Polynomial(ring, out)
-
-    def map_to(self, other: PolyRing, var_map: dict[int, int]) -> "Polynomial":
-        """Reindex variables into another ring of the same characteristic.
-
-        var_map sends this ring's variable indices to the target's; every
-        variable actually appearing must be mapped."""
-        out = {}
-        for m, c in self.terms.items():
-            e = [0] * other.nvars
-            for i, x in enumerate(m):
-                if x:
-                    if i not in var_map:
-                        raise InputError(
-                            f"variable {self.ring.names[i]} has no image in target ring"
-                        )
-                    e[var_map[i]] += x
-            out[tuple(e)] = c
-        return other.from_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +567,9 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
     """Reduced Groebner basis (list of monic dicts, sorted by lead term).
 
     Buchberger's algorithm with the Gebauer-Moeller pair update: S-pairs
-    are taken by least lcm and reduced on a heap of order keys.  Accepts inhomogeneous input.  The reduced basis is
-    unique for the order, so callers may compare ideals by comparing these
-    lists.
+    are taken by least lcm and reduced on a heap of order keys.  Accepts
+    inhomogeneous input.  The reduced basis is unique for the order, so
+    callers may compare ideals by comparing these lists.
     """
     inputs = []
     for g in gens:
@@ -791,7 +772,7 @@ class Ideal:
 
     Generators are stored as given (zero generators dropped).  Groebner
     bases, standard monomials and Hilbert data are cached.  Most methods
-    require homogeneous generators; `buchberger` itself does not.
+    require homogeneous generators; `groebner` and `eliminate` do not.
     """
 
     def __init__(self, ring: PolyRing, gens, require_homogeneous: bool = True):
@@ -997,35 +978,26 @@ class Ideal:
 
     # -- ideal operations ----------------------------------------------------
 
-    def permute_variables(self, perm: tuple[int, ...]) -> "Ideal":
-        """New ideal with variables reordered: position j of the new ring is
-        old variable perm[j]."""
-        names = tuple(self.ring.names[i] for i in perm)
-        ring2 = PolyRing(self.ring.field, names)
-        var_map = {old: new for new, old in enumerate(perm)}
-        gens2 = [g.map_to(ring2, var_map) for g in self.gens]
-        return Ideal(ring2, gens2, require_homogeneous=False)
-
     def colon_var_saturation(self, i: int) -> "Ideal":
-        """I : x_i^infinity for a homogeneous ideal, via the degrevlex
-        last-variable division trick."""
+        """I : x_i^infinity for a homogeneous ideal, by Bayer-Stillman.
+
+        Take the reduced GB in degrevlex with x_i last.  For homogeneous g
+        in that order, x_i divides g exactly when it divides lead(g), so
+        dividing each element by its largest power of x_i gives a GB of the
+        colon.  When no element is divisible by x_i, I : x_i = I and `self`
+        is returned."""
         n = self.ring.nvars
         for g in self.gens:
             if not g.is_homogeneous():
                 raise InputError("colon_var_saturation needs a homogeneous ideal")
-        perm = tuple([j for j in range(n) if j != i] + [i])
-        moved = self.permute_variables(perm)
-        gb = moved.groebner()
-        stripped = []
-        for g in gb:
-            k = min(m[n - 1] for m in g)
-            if k:
-                g = {m[: n - 1] + (m[n - 1] - k,): c for m, c in g.items()}
-            stripped.append(dict(g))
-        back = tuple(perm.index(j) for j in range(n))
-        ring_moved = moved.ring
-        result_moved = Ideal(ring_moved, [Polynomial(ring_moved, g) for g in stripped])
-        return result_moved.permute_variables(back)
+        gb = self.groebner(DRL if i == n - 1 else DegRevLex(last=i))
+        powers = [min(m[i] for m in g) for g in gb]
+        if not any(powers):
+            return self
+        stripped = [
+            {m[:i] + (m[i] - k,) + m[i + 1 :]: c for m, c in g.items()} for g, k in zip(gb, powers)
+        ]
+        return Ideal(self.ring, [Polynomial(self.ring, g) for g in stripped])
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """I cap J via the t-trick: eliminate t from t*I + (1-t)*J."""
@@ -1036,36 +1008,30 @@ class Ideal:
         while tname in ring.names:
             tname += "_"
         big = PolyRing(ring.field, (tname,) + ring.names)
-        shift = {i: i + 1 for i in range(ring.nvars)}
-        t = big.var(0)
-        one = big.one()
-        gens = [t * g.map_to(big, shift) for g in self.gens]
-        gens += [(one - t) * g.map_to(big, shift) for g in other.gens]
-        order = BlockOrder((0,), big.nvars)
-        gb = buchberger([g.terms for g in gens], order, ring.char)
-        kept = []
-        for g in gb:
-            if all(m[0] == 0 for m in g):
-                kept.append(Polynomial(ring, {m[1:]: c for m, c in g.items()}))
-        return Ideal(ring, kept, require_homogeneous=False)
+        t, one = big.var(0), big.one()
+
+        def lift(g: Polynomial) -> Polynomial:
+            return Polynomial(big, {(0,) + m: c for m, c in g.terms.items()})
+
+        gens = [t * lift(g) for g in self.gens] + [(one - t) * lift(g) for g in other.gens]
+        return Ideal(big, gens, require_homogeneous=False).eliminate((0,))
 
     def saturate_irrelevant(self) -> "Ideal":
         """Saturation with respect to (x_0, ..., x_n): the largest ideal
         with the same graded pieces in all high degrees.
 
         Computed as the intersection of the single-variable saturations
-        I : x_i^infty; if all of them equal I, I is already saturated and
-        is returned as-is."""
+        I : x_i^infty; if every one of them is I itself, I is already
+        saturated and is returned as-is."""
         cols = [self.colon_var_saturation(i) for i in range(self.ring.nvars)]
-        if all(c.same_ideal(self) for c in cols):
+        if all(c is self for c in cols):
             return self
         out = cols[0]
         for c in cols[1:]:
             out = out.intersect(c)
-        # t-trick generators of a homogeneous ideal need not be homogeneous;
-        # their graded components generate the same ideal
-        parts = [comp for g in out.gens for comp in g.homogeneous_components()]
-        return Ideal(self.ring, parts)
+        # t-trick bases are homogeneous in the x-variables (t has weight 0),
+        # so the kept elements are homogeneous
+        return Ideal(self.ring, out.gens)
 
     def equal_as_schemes(self, other: "Ideal") -> bool:
         """Do the two homogeneous ideals cut out the same closed subscheme,
@@ -1081,8 +1047,7 @@ class Ideal:
         returned in the smaller ring (names preserved)."""
         drop = tuple(sorted(set(drop)))
         keep = [i for i in range(self.ring.nvars) if i not in drop]
-        order = BlockOrder(drop, self.ring.nvars)
-        gb = buchberger([g.terms for g in self.gens], order, self.ring.char)
+        gb = self.groebner(BlockOrder(drop, self.ring.nvars))
         ring2 = PolyRing(self.ring.field, tuple(self.ring.names[i] for i in keep))
         kept = []
         for g in gb:

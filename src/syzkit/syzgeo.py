@@ -252,9 +252,8 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
     )
     n = scheme.ring.nvars - 1
     projected_ideal = moved_ideal.eliminate((n,))
-    parts = [c for g in projected_ideal.gens for c in g.homogeneous_components()]
     projected = EmbeddedScheme(
-        Ideal(projected_ideal.ring, parts),
+        Ideal(projected_ideal.ring, projected_ideal.gens),
         labels={**scheme.labels, "projected-from": "point"},
     )
     return ProjectionContext(

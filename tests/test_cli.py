@@ -410,6 +410,11 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         # an output path that cannot be written
         ["build", "rnc 3", "--out", f"{os.devnull}/rnc3.ideal"],
         ["syzscheme", "rnc 3", "--p", "2", "--out", f"{os.devnull}/syz.ideal"],
+        # fields too small for the points a suite samples, and quintics at p = 5
+        ["reconstruct", "rnc 3", "--p", "2", "--field-char", "2"],
+        ["verify", "aprodu-proj", "--variety", "rnc 3", "--field-char", "2"],
+        ["verify", "green-small", "--field-char", "5"],
+        ["verify", "nodal-iso", "--field-char", "5"],
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):

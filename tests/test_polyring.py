@@ -11,6 +11,7 @@ from syzkit.polyring import (
     DEGREE_LIMIT,
     DRL,
     BlockOrder,
+    DegRevLex,
     EmbeddedScheme,
     Ideal,
     PolyRing,
@@ -109,16 +110,6 @@ def test_poly_arithmetic(r4):
     assert f.degree() == 2 and f.is_homogeneous()
     assert not r4.parse("x0^2 + x1").is_homogeneous()
     assert f.evaluate((1, 2, 3, 4)) == (1 + 6) % 32003
-
-
-def test_homogeneous_components(r4):
-    f = r4.parse("x0^2 + x1 + 7")
-    parts = f.homogeneous_components()
-    assert [g.degree() for g in parts] == [0, 1, 2]
-    total = r4.zero()
-    for g in parts:
-        total = total + g
-    assert total == f
 
 
 def test_substitute_linear_identity_and_composition(r4):
@@ -415,11 +406,20 @@ def _tuple_drl(e):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def _tuple_order(first, n):
+def _tuple_order(first, n, last=None):
     if first is None:
-        return _tuple_drl
+        if last is None:
+            return _tuple_drl
+        return lambda e: _tuple_drl(e[:last] + e[last + 1 :] + (e[last],))
     rest = [i for i in range(n) if i not in first]
     return lambda e: (_tuple_drl([e[i] for i in first]), _tuple_drl([e[i] for i in rest]))
+
+
+def _order(first, n, last=None):
+    """The packed order that _tuple_order(first, n, last) describes."""
+    if first is None:
+        return DRL if last is None else DegRevLex(last=last)
+    return BlockOrder(first, n)
 
 
 def _divides(a, b):
@@ -470,7 +470,7 @@ def _macaulay_rows(ring, gens, d):
 @given(
     st.integers(3, 5),
     st.sampled_from([2, 3, 101, 32003, 2**31 - 1]),
-    st.sampled_from(["drl", "first", "last"]),
+    st.sampled_from(["drl", "first", "last", "moved"]),
     st.integers(0, 2**32 - 1),
 )
 def test_groebner_basis_by_an_independent_route(nvars, p, which, seed):
@@ -478,9 +478,10 @@ def test_groebner_basis_by_an_independent_route(nvars, p, which, seed):
     ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
     degrees = [rng.choice((2, 3)) for _ in range(rng.randint(2, 4))]
     gens = [g for g in _random_gens(ring, rng, degrees, rng.randint(2, 6)) if g]
-    first = {"drl": None, "first": (0,), "last": (nvars - 1,)}[which]
-    order = DRL if first is None else BlockOrder(first, nvars)
-    key = _tuple_order(first, nvars)
+    first = {"drl": None, "first": (0,), "last": (nvars - 1,), "moved": None}[which]
+    last = rng.randrange(nvars) if which == "moved" else None
+    order = _order(first, nvars, last)
+    key = _tuple_order(first, nvars, last)
     gb = buchberger([g.terms for g in gens], order, p)
 
     # reduced: monic, sorted by lead, and no term of any element divisible
@@ -525,11 +526,14 @@ def test_order_keys_compare_as_tuples_and_add(nvars, seed):
         return tuple(e)
 
     a, b = draw(), draw()
-    for first in (None, (0,), (nvars - 1,)):
-        order = DRL if first is None else BlockOrder(first, nvars)
-        key = _tuple_order(first, nvars)
-        assert (order.key(a) < order.key(b)) == (key(a) < key(b))
-        assert (order.key(a) == order.key(b)) == (a == b)
+    c = tuple(rng.sample(a, nvars))  # the degree of a, so only the tie-break decides
+    moved = rng.randrange(nvars)
+    for first, last in ((None, None), ((0,), None), ((nvars - 1,), None), (None, moved)):
+        order = _order(first, nvars, last)
+        key = _tuple_order(first, nvars, last)
+        for u, v in ((a, b), (a, c)):
+            assert (order.key(u) < order.key(v)) == (key(u) < key(v))
+            assert (order.key(u) == order.key(v)) == (u == v)
         ab = tuple(x + y for x, y in zip(a, b))
         if sum(ab) < DEGREE_LIMIT:
             assert order.key(ab) == order.key(a) + order.key(b)
@@ -556,3 +560,47 @@ def test_monomials_past_the_degree_limit_are_refused():
     big = Ideal(ring, [f"t - y^{DEGREE_LIMIT - 1}", "t*y"], require_homogeneous=False)
     with pytest.raises(BudgetError):
         big.eliminate((0,))
+
+
+def _colon_by_permuted_ring(ideal, i):
+    """I : x_i^infinity by moving x_i to the last place of a new ring,
+    stripping x_i from the degrevlex GB there, and moving the result back."""
+    ring, n = ideal.ring, ideal.ring.nvars
+    perm = [j for j in range(n) if j != i] + [i]
+    moved = PolyRing(ring.field, [ring.names[j] for j in perm])
+    gb = Ideal(
+        moved,
+        [moved.from_terms({tuple(m[j] for j in perm): c for m, c in g.terms.items()})
+         for g in ideal.gens],
+    ).groebner()
+    back = []
+    for g in gb:
+        k = min(m[-1] for m in g)
+        terms = {}
+        for m, c in g.items():
+            e = [0] * n
+            for pos, j in enumerate(perm):
+                e[j] = m[pos]
+            e[i] -= k
+            terms[tuple(e)] = c
+        back.append(ring.from_terms(terms))
+    return Ideal(ring, back)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([2, 3, 32003]), st.integers(0, 2**32 - 1))
+def test_colon_var_saturation_matches_the_permuted_ring(nvars, p, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
+    # multiplying by variable powers leaves colons that differ from I
+    gens = [
+        g * ring.var(rng.randrange(nvars)) ** rng.randint(0, 2)
+        for g in _random_gens(ring, rng, degrees, rng.randint(1, 4))
+    ]
+    ideal = Ideal(ring, gens)
+    for i in range(nvars):
+        colon = ideal.colon_var_saturation(i)
+        reference = _colon_by_permuted_ring(ideal, i)
+        assert colon.groebner() == reference.groebner()
+        assert (colon is ideal) == reference.same_ideal(ideal)
