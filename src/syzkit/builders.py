@@ -174,11 +174,6 @@ def scroll_types(max_degree: int = 5, max_dim: int = 3) -> list:
     return types
 
 
-def scroll_corpus(char: int = DEFAULT_CHAR, max_degree: int = 5, max_dim: int = 3):
-    """The schemes for every type in scroll_types."""
-    return [scroll(t, char) for t in scroll_types(max_degree, max_dim)]
-
-
 def sample_points(scheme: EmbeddedScheme, count: int, seed: int) -> list:
     """Deterministic distinct points on a parametrized scheme."""
     par = getattr(scheme, "_parametrization", None)
@@ -408,12 +403,6 @@ def adjoint_system(model: PlaneModel, degree: int, through=None) -> list:
         for node in nodes
     }
     return [ring.monomial(m) for m in ring.monomials_of_degree(degree) if m not in banned]
-
-
-def adjoint_conics(model: PlaneModel, through=None) -> list:
-    """The conics through the selected nodes (the adjoint system of a
-    nodal quintic)."""
-    return adjoint_system(model, 2, through)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ import hashlib
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
@@ -127,7 +125,6 @@ class RunContext:
     argv: list
     char: int
     seed: int
-    jobs: int
     json_out: bool
     entry_budget: int
     t0: float = field(default_factory=time.time)
@@ -136,8 +133,6 @@ class RunContext:
     warnings: list = field(default_factory=list)
     case_timings: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
-    cache_locks: dict = field(default_factory=dict)
-    cache_locks_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def note_input(self, source: str, text: str):
         entry = {"source": source, "sha256": hashlib.sha256(text.encode()).hexdigest()}
@@ -145,13 +140,9 @@ class RunContext:
             self.inputs.append(entry)
 
     def cached(self, key, build):
-        """build(), once per key: cases running on other threads wait for
-        the build of a key they share instead of repeating it."""
-        with self.cache_locks_lock:
-            lock = self.cache_locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self.cache:
-                self.cache[key] = build()
+        """build(), once per key: cases that share an instance reuse it."""
+        if key not in self.cache:
+            self.cache[key] = build()
         return self.cache[key]
 
     def assume(self, kind: str):
@@ -193,7 +184,6 @@ def _context(args, argv) -> RunContext:
         argv=argv,
         char=char,
         seed=args.seed,
-        jobs=args.jobs,
         json_out=args.json,
         entry_budget=(
             args.entry_budget if args.entry_budget is not None else DEFAULT_ENTRY_BUDGET
@@ -469,8 +459,6 @@ def cmd_betti(args, ctx: RunContext) -> int:
 
 def cmd_cocycles(args, ctx: RunContext) -> int:
     scheme = load_scheme(args.source, ctx)
-    if args.p is None:
-        raise InputError("cocycles needs --p (the wedge degree of the strand)")
     basis = k_p1_cocycle_basis(scheme, args.p, ctx.entry_budget)
     payload = {
         "scheme": _scheme_summary(scheme),
@@ -1252,6 +1240,8 @@ def _replay_command(suite: str, case_id: str, ctx: RunContext, args) -> str:
         parts += ["--points", str(args.points)]
     if args.variety:
         parts += ["--variety", json.dumps(args.variety)]
+    if args.entry_budget is not None:
+        parts += ["--entry-budget", str(args.entry_budget)]
     return " ".join(parts)
 
 
@@ -1283,12 +1273,7 @@ def cmd_verify(args, ctx: RunContext) -> int:
         result = case.run()
         return case.id, result, time.time() - start
 
-    if ctx.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            outcomes = list(pool.map(timed, cases))
-    else:
-        outcomes = [timed(c) for c in cases]
-    outcomes.sort(key=lambda t: t[0])
+    outcomes = [timed(c) for c in cases]
 
     case_payloads = []
     lines = []
@@ -1360,15 +1345,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"prime field characteristic (default {DEFAULT_CHAR})")
     common.add_argument("--seed", type=_at_least(0), default=0, metavar="N",
                         help="seed for every pseudorandom draw (default 0)")
-    common.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
-                        help="parallel case execution for verify (default 1)")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
     common.add_argument("--entry-budget", type=_at_least(1), default=None, metavar="N",
                         help=f"max entries of any Koszul matrix (default {DEFAULT_ENTRY_BUDGET})")
 
     classsel = argparse.ArgumentParser(add_help=False)
-    classsel.add_argument("--p", type=int, default=None,
+    classsel.add_argument("--p", type=_at_least(0), default=None,
                           help="wedge degree of the linear-strand class")
     classsel.add_argument("--class-index", type=int, default=0, metavar="K",
                           help="index into the canonical strand basis (default 0)")
@@ -1392,7 +1375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coc = sub.add_parser("cocycles", parents=[common],
                            help="canonical basis of a (p,1) strand")
     p_coc.add_argument("source")
-    p_coc.add_argument("--p", type=int, default=None, required=True)
+    p_coc.add_argument("--p", type=_at_least(0), required=True)
     p_coc.set_defaults(handler=cmd_cocycles)
 
     p_syz = sub.add_parser("syzscheme", parents=[common, classsel],

@@ -788,11 +788,10 @@ class Ideal:
             if g:
                 polys.append(g)
         self.gens = tuple(polys)
-        # order name -> (reduced GB, its reducer tuples), stored by one
-        # assignment; the reducers carry the lead terms and their masks
+        # order name -> (reduced GB, its reducer tuples); the reducers
+        # carry the lead terms and their masks
         self._gb: dict[str, tuple[list[dict], list[tuple]]] = {}
-        # degree -> (standard monomials, their positions), stored by one
-        # assignment so a concurrent reader never sees half an entry
+        # degree -> (standard monomials, their positions)
         self._std: dict[int, tuple[list[Mono], dict[Mono, int]]] = {}
         self._nf_cache: dict = {}
         self._hilbert: HilbertData | None = None

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from syzkit.builders import (
     PlaneModel,
     _roots_mod_p,
-    adjoint_conics,
+    adjoint_system,
     complete_intersection,
     en_betti,
     expected_scroll_betti,
@@ -51,8 +51,8 @@ from syzkit.builders import (
     rational_normal_curve,
     sample_points,
     scroll,
-    scroll_corpus,
     scroll_hilbert,
+    scroll_types,
     validate_plane_model,
 )
 from syzkit.errors import ConsistencyError, InputError
@@ -75,12 +75,12 @@ def two_node():
 
 @pytest.fixture(scope="module")
 def trigonal(one_node):
-    return model_image(one_node, adjoint_conics(one_node))
+    return model_image(one_node, adjoint_system(one_node, 2))
 
 
 @pytest.fixture(scope="module")
 def nodal_d(two_node):
-    return model_image(two_node, adjoint_conics(two_node, through=[0]))
+    return model_image(two_node, adjoint_system(two_node, 2, through=[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_expected_grid_matches_computed_grid():
 
 
 def test_scroll_corpus_enumeration():
-    corpus = scroll_corpus()
+    corpus = [scroll(t) for t in scroll_types()]
     types = [s.labels["type"] for s in corpus]
     assert len(types) == 15
     assert types[:6] == [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
@@ -207,16 +207,16 @@ def test_one_node_quintic(one_node):
     assert one_node.curve.degree() == 5
     assert one_node.geometric_genus() == 5
     assert [n.coords for n in one_node.nodes] == [(0, 0, 1)]
-    conics = sorted(str(f) for f in adjoint_conics(one_node))
+    conics = sorted(str(f) for f in adjoint_system(one_node, 2))
     assert conics == sorted(["x0^2", "x0*x1", "x1^2", "x0*x2", "x1*x2"])
 
 
 def test_two_node_quintic(two_node):
     assert two_node.geometric_genus() == 4
     assert [n.coords for n in two_node.nodes] == [(0, 0, 1), (0, 1, 0)]
-    both = sorted(str(f) for f in adjoint_conics(two_node))
+    both = sorted(str(f) for f in adjoint_system(two_node, 2))
     assert both == sorted(["x0^2", "x0*x1", "x0*x2", "x1*x2"])
-    first = sorted(str(f) for f in adjoint_conics(two_node, through=[0]))
+    first = sorted(str(f) for f in adjoint_system(two_node, 2, through=[0]))
     assert first == sorted(["x0^2", "x0*x1", "x1^2", "x0*x2", "x1*x2"])
 
 
@@ -332,7 +332,7 @@ def test_trigonal_quadric_hull_is_a_cubic_surface_scroll(trigonal):
 
 
 def test_implicitization_routes_agree(two_node):
-    forms = adjoint_conics(two_node, through=[0])
+    forms = adjoint_system(two_node, 2, through=[0])
     via_kernels = implicitize_kernel(two_node, forms)
     via_elimination = implicitize_eliminate(two_node, forms)
     assert via_kernels.same_ideal(via_elimination)
@@ -353,7 +353,7 @@ def test_nodal_image_matches_smooth_linear_strand(trigonal, nodal_d):
 
 
 def test_two_node_full_adjoint_image_is_genus_four_canonical(two_node):
-    image = model_image(two_node, adjoint_conics(two_node))
+    image = model_image(two_node, adjoint_system(two_node, 2))
     hd = image.ideal.hilbert_data()
     assert (hd.dimension, hd.degree) == (1, 6)
     grid = betti_table(image, pmax=2, qmax=3)

@@ -8,12 +8,13 @@ output are exactly what a shell user sees.  Oracles:
   frozen values as in the library tests;
 * projecting the twisted cubic from one of its points gives a conic;
 * every JSON report must validate against the schema shipped inside the
-  package, and must be byte-identical across reruns and across --jobs
-  once the timings subtree is removed.
+  package, and must be byte-identical across reruns once the timings
+  subtree is removed.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -127,17 +128,7 @@ def test_rerun_identical_modulo_timings(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_results(capsys):
-    base = ["verify", "ep", "--variety", "rnc 4", "--samples", "4", "--json"]
-    _, serial = run_json(capsys, base)
-    _, parallel = run_json(capsys, base + ["--jobs", "4"])
-    for report in (serial, parallel):
-        report.pop("timings")
-        report["argv"] = None
-    assert serial == parallel
-
-
-def test_jobs_build_each_shared_instance_once(capsys, monkeypatch):
+def test_shared_instances_are_built_once(capsys, monkeypatch):
     calls = []
     build = cli.model_image
 
@@ -146,27 +137,9 @@ def test_jobs_build_each_shared_instance_once(capsys, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(cli, "model_image", counted)
-    argv = ["verify", "schreyer-converse", "--json"]
-    interval = sys.getswitchinterval()
-    reports = []
-    try:
-        # switch threads often, so that cases asking for one instance
-        # overlap while it is being built
-        sys.setswitchinterval(1e-6)
-        for jobs in ("1", "4"):
-            calls.clear()
-            rc, report = run_json(capsys, argv + ["--jobs", jobs])
-            assert rc == 0
-            reports.append((sorted(calls), report))
-    finally:
-        sys.setswitchinterval(interval)
-    (serial_calls, serial), (parallel_calls, parallel) = reports
-    assert parallel_calls == serial_calls
-    assert len(serial_calls) == len(set(serial_calls))
-    for report in (serial, parallel):
-        report.pop("timings")
-        report["argv"] = None
-    assert serial == parallel
+    rc, _ = run_json(capsys, ["verify", "schreyer-converse", "--json"])
+    assert rc == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_case_filter_replays_the_same_draw(capsys):
@@ -179,6 +152,23 @@ def test_case_filter_replays_the_same_draw(capsys):
     replayed = single["payload"]["cases"][0]
     assert replayed["computed"]["class"] == wanted["computed"]["class"]
     assert replayed["status"] == wanted["status"] == "PASS"
+
+
+def test_replay_command_reruns_the_case(capsys):
+    # under a small budget the case skips entries; its replay line must
+    # carry the budget, so that the rerun skips the same ones
+    argv = ["verify", "scroll-betti", "--variety", "scroll 1 1", "--entry-budget", "2000"]
+    rc, full = run_json(capsys, argv + ["--json"])
+    assert rc == 0
+    (case,) = full["payload"]["cases"]
+    assert case["warnings"]
+    syz, *replay = shlex.split(case["replay"])
+    assert syz == "syz"
+    rc, single = run_json(capsys, replay + ["--json"])
+    assert rc == 0
+    (replayed,) = single["payload"]["cases"]
+    for key in ("id", "status", "computed", "warnings"):
+        assert replayed[key] == case[key]
 
 
 def test_every_case_carries_a_replay_command(capsys):
@@ -398,7 +388,7 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["verify", "ep", "--variety", "rnc 3", "--case", "ep/rnc-3/no-such-case"],
         # the top strand of a line is zero: no class to sample
         ["verify", "ep", "--variety", "scroll 1"],
-        # seeds are non-negative, and --jobs is a count
+        # seeds are non-negative; --jobs is not an option
         ["betti", "ci 2 3", "--seed", "-1"],
         ["reconstruct", "rnc 3", "--p", "2", "--seed", "-1"],
         ["verify", "green-small", "--seed", "-1"],
@@ -415,6 +405,11 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["verify", "aprodu-proj", "--variety", "rnc 3", "--field-char", "2"],
         ["verify", "green-small", "--field-char", "5"],
         ["verify", "nodal-iso", "--field-char", "5"],
+        # verify has no --jobs option, and wedge degrees are non-negative
+        ["verify", "ep", "--variety", "rnc 3", "--jobs", "2"],
+        ["cocycles", "rnc 3", "--p", "-1"],
+        ["syzscheme", "rnc 3", "--p", "-1"],
+        ["cocycles", "rnc 3"],  # no wedge degree
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):
@@ -465,6 +460,7 @@ def test_help_exits_zero(capsys):
 NO_NUMPY_SCRIPT = """
 import contextlib, io, json, sys
 from syzkit.cli import main
+assert "concurrent.futures" not in sys.modules, "syzkit.cli loaded concurrent.futures"
 
 def run(argv):
     out = io.StringIO()
