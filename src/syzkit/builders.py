@@ -207,6 +207,8 @@ def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> E
     P^(len(degrees)+1), resampled until the dimension certifies a regular
     sequence.  Degrees >= 2 keep the scheme nondegenerate."""
     degrees = tuple(int(d) for d in degrees)
+    if not degrees:
+        raise InputError("complete_intersection needs at least one degree")
     if any(d < 2 for d in degrees):
         raise InputError("complete_intersection needs every degree >= 2")
     nv = len(degrees) + 2

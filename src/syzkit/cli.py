@@ -1438,10 +1438,18 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.handler(args, _context(args, argv))
+        code = args.handler(args, _context(args, argv))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (`syz resolve ... | head -1`): point stdout
+        # at devnull so the flush at exit cannot raise again, and exit as
+        # SIGPIPE would have ended the process (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -524,6 +524,23 @@ def minimal_free_resolution(
         ]
         return coords, {key: i for i, key in enumerate(coords)}
 
+    # the product table, held for this call, and the monomial positions
+    # per degree that it reads
+    index: dict[int, dict] = {}
+    table: dict[tuple, list[int]] = {}
+
+    def products(mm, b: int) -> list[int]:
+        """The position of mm * m among the monomials of its degree, for
+        each monomial m of degree b in order."""
+        got = table.get((mm, b))
+        if got is None:
+            e = b + sum(mm)
+            pos = index.get(e)
+            if pos is None:
+                pos = index[e] = {m: k for k, m in enumerate(ring.monomials_of_degree(e))}
+            got = table[mm, b] = [pos[tuple(map(add, mm, m))] for m in ring.monomials_of_degree(b)]
+        return got
+
     for step in range(1, length_bound + 1):
         prev_degrees = modules[-1]
         dmin = min(prev_degrees) + 1
@@ -554,11 +571,23 @@ def minimal_free_resolution(
                 rows = [{pos[0, m]: c for m, c in g.terms.items()} for g in ideal.graded_basis(d)]
                 ker = SparseRows(rows, len(coords))
             else:
-                row_pos = layout(modules[-2], d)[1]
-                rows = [{} for _ in row_pos]
-                for ci, (j, m) in enumerate(coords):
-                    for i, mm, c in flat[j]:
-                        rows[row_pos[i, tuple(map(add, mm, m))]][ci] = c
+                # the row of coordinate (i, u) of F_{s-2} sits at offsets[i]
+                # plus the position of u among the monomials of its degree;
+                # the column (j, m) gets c at the row of (i, mm * m) for each
+                # term c * mm of the entry i of generator j.  Columns are
+                # filled in order, so each row's keys ascend: filled term by
+                # term instead, kernel_basis ran about 2% slower on them
+                sizes = (len(ring.monomials_of_degree(d - di)) for di in modules[-2])
+                offsets = list(itertools.accumulate(sizes, initial=0))
+                rows = [{} for _ in range(offsets[-1])]
+                ci = 0
+                for j, dj in enumerate(prev_degrees):
+                    b = d - dj
+                    terms = [(offsets[i], products(mm, b), c) for i, mm, c in flat[j]]
+                    for k in range(len(ring.monomials_of_degree(b))):
+                        for base, prods, c in terms:
+                            rows[base + prods[k]][ci] = c
+                        ci += 1
                 ker = kernel_basis(SparseRows(rows, len(coords)), char)
             # span of lower-degree kernel elements, shifted by each variable:
             # the column of (j, m * x_v), per column (j, m) that a row uses

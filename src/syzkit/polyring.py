@@ -30,7 +30,6 @@ intersection via the t-trick); everything else in the package is graded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -176,6 +175,30 @@ def _divisor(m: Mono, mask: int, leads):
     return None
 
 
+def _next_degree(prev: list[Mono], cuts: list[int], leads=None):
+    """Degree d+1 of an order ideal of monomials from its degree d.
+
+    `prev` lists the degree-d members degrevlex-descending, that is in
+    ascending order of their reversed exponent tuples, and cuts[i] counts
+    those whose last variable is at most x_i: they are a prefix of `prev`.
+    Each monomial u of degree d+1 is m*x_i for exactly one m of degree d
+    with i >= the last variable of m (i is the last variable of u), and m
+    divides u, so u is a member only if m is.  The products come out in
+    order grouped by i, and a product is kept when no entry of `leads`
+    (as in _divisor) divides it.  Returns the degree-(d+1) members and
+    their cuts."""
+    out: list[Mono] = []
+    out_cuts = []
+    for i, cut in enumerate(cuts):
+        for k in range(cut):
+            m = prev[k]
+            u = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if leads is None or _divisor(u, _divmask(u), leads) is None:
+                out.append(u)
+        out_cuts.append(len(out))
+    return out, out_cuts
+
+
 # ---------------------------------------------------------------------------
 # ring and polynomials
 
@@ -200,7 +223,10 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self._index = {nm: i for i, nm in enumerate(names)}
-        self._monos: dict[int, list[Mono]] = {}
+        # degree -> (monomials, their cuts as in _next_degree)
+        self._monos: list[tuple[list[Mono], list[int]]] = [
+            ([(0,) * self.nvars], [1] * self.nvars)
+        ]
 
     @property
     def char(self) -> int:
@@ -250,21 +276,15 @@ class PolyRing:
     def monomials_of_degree(self, d: int) -> list[Mono]:
         """All degree-d monomials, sorted degrevlex-descending.
 
-        Cached per degree: callers share the returned list and must not
-        modify it."""
+        Grown degree by degree with `_next_degree`, so the list comes out
+        in order and no key is computed.  Every degree up to d is cached:
+        callers share the returned list and must not modify it."""
         if d < 0:
             return []
-        got = self._monos.get(d)
-        if got is None:
-            got = []
-            for combo in itertools.combinations_with_replacement(range(self.nvars), d):
-                e = [0] * self.nvars
-                for i in combo:
-                    e[i] += 1
-                got.append(tuple(e))
-            got.sort(key=DRL.key, reverse=True)
-            self._monos[d] = got
-        return got
+        monos = self._monos
+        while len(monos) <= d:
+            monos.append(_next_degree(*monos[-1]))
+        return monos[d][0]
 
     # -- parsing / printing ------------------------------------------------
 
@@ -791,8 +811,9 @@ class Ideal:
         # order name -> (reduced GB, its reducer tuples); the reducers
         # carry the lead terms and their masks
         self._gb: dict[str, tuple[list[dict], list[tuple]]] = {}
-        # degree -> (standard monomials, their positions)
-        self._std: dict[int, tuple[list[Mono], dict[Mono, int]]] = {}
+        # degree -> (standard monomials, their positions, their cuts as in
+        # _next_degree), filled from degree 0 upward
+        self._std: list[tuple[list[Mono], dict[Mono, int], list[int]]] = []
         self._nf_cache: dict = {}
         self._hilbert: HilbertData | None = None
 
@@ -844,24 +865,38 @@ class Ideal:
 
     def standard_monomials(self, d: int) -> list[Mono]:
         """Monomials of degree d not divisible by any GB lead term, sorted
-        degrevlex-descending.  These represent a basis of (R/I)_d."""
+        degrevlex-descending.  These represent a basis of (R/I)_d.
+
+        Grown from the standard monomials of degree d - 1, never from a
+        scan of every monomial of degree d (see `_standard`); callers share
+        the cached list and must not modify it."""
         return self._standard(d)[0]
 
     def standard_index(self, d: int) -> dict[Mono, int]:
         return self._standard(d)[1]
 
-    def _standard(self, d: int) -> tuple[list[Mono], dict[Mono, int]]:
-        got = self._std.get(d)
-        if got is None:
+    def _standard(self, d: int) -> tuple[list[Mono], dict[Mono, int], list[int]]:
+        """The standard monomials of degree d, their positions and their
+        cuts (as in `_next_degree`).
+
+        They form an order ideal, so degree d grows from degree d - 1 by
+        `_next_degree`, which tests only the products of standard monomials
+        against the lead terms.  Every degree from the highest cached one
+        up to d is filled by a loop, so a high degree asked first costs no
+        recursion."""
+        if d < 0:
+            return [], {}, []
+        std = self._std
+        if len(std) <= d:
             reducers = self._groebner_entry(DRL)[1]
-            monos = [
-                m
-                for m in self.ring.monomials_of_degree(d)
-                if _divisor(m, _divmask(m), reducers) is None
-            ]
-            got = (monos, {m: i for i, m in enumerate(monos)})
-            self._std[d] = got
-        return got
+            if not std:
+                one = (0,) * self.ring.nvars
+                monos = [one] if _divisor(one, 0, reducers) is None else []
+                std.append((monos, {m: 0 for m in monos}, [len(monos)] * self.ring.nvars))
+            while len(std) <= d:
+                monos, cuts = _next_degree(std[-1][0], std[-1][2], reducers)
+                std.append((monos, {m: i for i, m in enumerate(monos)}, cuts))
+        return std[d]
 
     def hilbert_function(self, d: int) -> int:
         """h(d) = dim_k (R/I)_d, by counting standard monomials."""

@@ -410,6 +410,9 @@ def test_build_plane_model_recipe(capsys, tmp_path):
         ["cocycles", "rnc 3", "--p", "-1"],
         ["syzscheme", "rnc 3", "--p", "-1"],
         ["cocycles", "rnc 3"],  # no wedge degree
+        # a complete intersection needs at least one degree
+        ["build", "ci"],
+        ["betti", "ci seed=3"],
     ],
 )
 def test_bad_inputs_exit_2(argv, capsys):
@@ -479,6 +482,23 @@ print(json.dumps({
     "quadric": str(complete_intersection((2, 3)).ideal.gens[0]),
 }))
 """
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # the reader is gone before the child writes: `syz resolve ... | head -1`
+    src = Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "syzkit.cli", "resolve", "rnc 4"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_deterministic_commands_do_not_import_numpy():

@@ -310,8 +310,12 @@ def test_resolution_truncation_flag(ci23):
          "c51cc7e3a38d930a59511c16a5fa412f887edb4700165171c86fe11cfec42c5a"),
         (lambda: complete_intersection((2, 3), seed=0),
          "989e501a6ec11044bcd8b345dcef6e39d90c2ac1766582bb1bfacb96f264fccc"),
+        (lambda: scroll((2, 1, 1)),
+         "d672c97c5829cdfec5d28d7cc637c1b456a66bada51d149f308c4ece6a9c2d25"),
+        (lambda: rational_normal_curve(5),
+         "80d8d0a73c1d52f3fc6601692fa4c824b524e240aacdabd15a59384061a4e9f4"),
     ],
-    ids=["rnc-3", "scroll-2-1", "scroll-1-1-1", "ci-2-3-seed-0"],
+    ids=["rnc-3", "scroll-2-1", "scroll-1-1-1", "ci-2-3-seed-0", "scroll-2-1-1", "rnc-5"],
 )
 def test_resolution_maps_pinned(build, digest):
     # the oracle's generator vectors, not only its degrees, are canonical

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -50,6 +51,26 @@ def test_monomials_of_degree(r4):
     assert keys == sorted(keys, reverse=True)
     assert r4.monomials_of_degree(-1) == []
     assert r4.monomials_of_degree(0) == [(0, 0, 0, 0)]
+
+
+def _monomials_by_key(nvars, d):
+    """Every degree-d monomial, sorted by the degrevlex key, largest first."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), d):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return sorted(out, key=DRL.key, reverse=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_monomials_of_degree_match_the_key_sort(nvars, degrees):
+    # degrees are asked in any order, on one ring, so later ones may be cached
+    ring = PolyRing(32003, tuple(f"x{i}" for i in range(nvars)))
+    for d in degrees:
+        assert ring.monomials_of_degree(d) == _monomials_by_key(nvars, d)
 
 
 # -- parsing / printing ------------------------------------------------------
@@ -228,6 +249,33 @@ def test_standard_index_matches_standard_monomials(r4):
     index = ideal.standard_index(3)
     assert index == {m: i for i, m in enumerate(ideal.standard_monomials(3))}
     assert ideal.standard_index(3) is index
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_standard_monomials_are_the_divisor_filter(nvars, p, degrees, seed):
+    # grown degree by degree, they must equal the monomials of degree d that
+    # no lead term divides, whatever order the degrees are asked in
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    gen_degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 3))]
+    ideal = Ideal(ring, _random_gens(ring, rng, gen_degrees, rng.randint(1, 4)))
+    leads = ideal.lead_monomials()
+    for d in degrees + [5, 2]:
+        want = [m for m in ring.monomials_of_degree(d) if not any(_divides(lm, m) for lm in leads)]
+        assert ideal.standard_monomials(d) == want
+        assert ideal.standard_index(d) == {m: i for i, m in enumerate(want)}
+
+
+def test_hilbert_function_at_a_high_degree():
+    # degrees below are filled by a loop, not by recursion
+    ideal = Ideal(PolyRing(32003, ["x0", "x1"]), ["x0"])
+    assert ideal.hilbert_function(3000) == 1
 
 
 # -- Hilbert data ---------------------------------------------------------------
