@@ -10,7 +10,8 @@ pass (`_forward`) reduces each incoming row's lead term against the pivot
 rows found so far, until its lead column is new or the row vanishes.  The
 back pass (`_backward`) then clears every other pivot column from each
 pivot row, in decreasing pivot order, which gives the reduced row echelon
-form.  `rank` needs only the forward pass; `kernel_basis` and
+form.  `rank` needs only the forward pass, and can grow one pivot set
+over several calls; `kernel_basis` and
 `complement_basis` read the sparse RREF rows, so they never make dense
 the rows they do not return.  The matrices of this package are mostly
 well under 1% nonzero, so fill-in stays small.
@@ -194,8 +195,13 @@ def rref(m, p: int) -> tuple[SparseRows, list[int]]:
     return SparseRows([pivots[c] for c in order], ncols), order
 
 
-def rank(m, p: int) -> int:
-    return len(_forward(sparse_rows(m, p).rows, p, {}))
+def rank(m, p: int, pivots: dict | None = None) -> int:
+    """Rank of m over F_p, by the forward pass alone.
+
+    With `pivots`, a dict that earlier calls filled, the rows of m join
+    the semi-echelon form held there, in place, and the result is the rank
+    of every row it has taken so far."""
+    return len(_forward(sparse_rows(m, p).rows, p, {} if pivots is None else pivots))
 
 
 def kernel_basis(m, p: int) -> SparseRows:

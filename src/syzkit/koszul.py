@@ -26,7 +26,10 @@ a list of int rows, for the callers that want one.
 
 `minimal_free_resolution` is an independent oracle: it resolves R/I degree
 by degree with graded kernels and minimal generator selection, never
-touching the Koszul code path, and certifies completeness against the
+touching the Koszul code path.  Each step scans degrees up to reg(I) + s - 1
+when `certified_regularity` certifies reg(I) by the Bayer–Stillman
+criterion, and up to a heuristic cap otherwise; consecutive maps are
+checked to compose to zero, and completeness is certified against the
 exact Hilbert series numerator.
 """
 
@@ -472,8 +475,8 @@ class Resolution:
     maps[s] presents the generators of F_{s+1} as vectors of polynomials
     over the generators of F_s.  `truncated` is False only when the
     alternating sum of generator degrees reproduces the exact Hilbert
-    series numerator of R/I — a completeness certificate independent of the
-    degree bound heuristics."""
+    series numerator of R/I — a completeness certificate independent of
+    the degrees each step scanned."""
 
     ideal: Ideal
     modules: list
@@ -498,6 +501,67 @@ class Resolution:
         return len(self.modules) - 1
 
 
+def certified_regularity(ideal: Ideal, lo: int, hi: int) -> int | None:
+    """The least m in [lo, hi] at which the Bayer–Stillman criterion shows
+    that I is m-regular, or None.  I must be generated in degrees <= lo.
+
+    The criterion (Bayer–Stillman, Invent. Math. 1987): I is
+    m-regular if there are linear forms h_1, ..., h_j with
+    ((I, h_1..h_{i-1}) : h_i)_m = (I, h_1..h_{i-1})_m for each i and
+    (I, h_1..h_j)_m = S_m.  That direction needs no genericity, and
+    extending F_p to its algebraic closure changes neither the regularity
+    nor these ranks, so any forms will do; they come from a fixed pattern,
+    h_i = sum_v (i+2)^v x_v.  A pattern that fails only costs the
+    certificate, never a wrong m.
+
+    Each condition is a rank in R/I, over the standard monomials.  With J
+    = (h_1..h_{i-1}) in R/I, the first says that h_i is injective from
+    (R/I)_m / J_m to (R/I)_{m+1} / J_{m+1}: adding the rows h_i * u, u in
+    degree m, raises the rank of J_{m+1} by dim (R/I)_m - dim J_m.  The
+    second says J_m, with h_j in it, is all of (R/I)_m.  The rows come
+    from the cached x_v * u, and each degree keeps one growing pivot set.
+    """
+    char = ideal.ring.char
+    nv = ideal.ring.nvars
+    forms = [[pow(i + 2, v, char) for v in range(nv)] for i in range(1, nv + 1)]
+    # degree d -> the terms (v, column, coefficient) of x_v * u in R/I, per
+    # standard monomial u of degree d, shared by every form
+    products: dict[int, list] = {}
+
+    def times(h: list[int], d: int) -> SparseRows:
+        """h * u for each standard monomial u of degree d, in R/I."""
+        index = ideal.standard_index(d + 1)
+        got = products.get(d)
+        if got is None:
+            got = products[d] = [
+                [(v, index[mono], c) for v in range(nv) for mono, c in ideal.nf_times_var(u, v).items()]
+                for u in ideal.standard_monomials(d)
+            ]
+        rows = []
+        for terms in got:
+            row: dict[int, int] = {}
+            for v, k, c in terms:
+                row[k] = row.get(k, 0) + h[v] * c
+            rows.append({k: r for k, c in row.items() if (r := c % char)})
+        return SparseRows(rows, len(index))
+
+    for m in range(lo, hi + 1):
+        full = ideal.hilbert_function(m)
+        # the pivots of J_m and J_{m+1}
+        low: dict = {}
+        high: dict = {}
+        for h in forms:
+            if len(low) == full:
+                break
+            before = len(high)
+            if rank(times(h, m), char, high) - before != full - len(low):
+                break
+            rank(times(h, m - 1), char, low)
+        if len(low) == full:
+            return m
+    return None
+
+
 def minimal_free_resolution(
     ideal: Ideal, degree_bound: int = 10, length_bound: int | None = None
 ) -> Resolution:
@@ -506,8 +570,15 @@ def minimal_free_resolution(
     Fully independent of the Koszul machinery: each step computes graded
     kernels of the presentation matrix and picks minimal new generators as
     the canonical complement of (degree-one) x (previous kernel piece).
-    Raises ConsistencyError if a purportedly minimal map acquires a unit
-    entry or consecutive maps fail to compose to zero."""
+
+    F_s is generated in degrees <= reg(I) + s - 1 (Eisenbud, The Geometry
+    of Syzygies, ch. 4).  When step 1 found every generator of I, a
+    regularity m certified by `certified_regularity` caps each later
+    step's scan at m + s - 1; without one, step s scans up to twice the
+    top degree of F_{s-1}, and the Hilbert-series certificate flags any
+    truncation that cap causes.  Raises ConsistencyError if a purportedly
+    minimal map acquires a unit entry or consecutive maps fail to compose
+    to zero."""
     ring = ideal.ring
     char = ring.char
     nv = ring.nvars
@@ -541,6 +612,7 @@ def minimal_free_resolution(
             got = table[mm, b] = [pos[tuple(map(add, mm, m))] for m in ring.monomials_of_degree(b)]
         return got
 
+    reg = None
     for step in range(1, length_bound + 1):
         prev_degrees = modules[-1]
         dmin = min(prev_degrees) + 1
@@ -548,12 +620,17 @@ def minimal_free_resolution(
             if not ideal.groebner():
                 break
             # minimal generators of I are bounded by the top GB degree
-            scan_max = min(degree_bound, max(sum(lm) for lm in ideal.lead_monomials()))
+            top = max(sum(lm) for lm in ideal.lead_monomials())
+            scan_max = min(degree_bound, top)
         else:
-            # syzygies of a minimal presentation are found well below twice
-            # the top generator degree on this corpus; the Hilbert-series
-            # certificate below flags any truncation this cap would cause
+            # the heuristic cap, lowered to reg(I) + s - 1 once a
+            # regularity is certified; a regularity needs all of I's
+            # generators, so none is sought when the bound cut step 1 short
             scan_max = min(degree_bound, 2 * max(prev_degrees))
+            if step == 2 and top <= degree_bound:
+                reg = certified_regularity(ideal, max(prev_degrees), scan_max)
+            if reg is not None:
+                scan_max = min(scan_max, reg + step - 1)
             # the previous generators' entries as (row generator, monomial, coefficient)
             flat = [
                 [(i, mm, c) for i, entry in enumerate(vec) for mm, c in entry.terms.items()]
@@ -615,16 +692,18 @@ def minimal_free_resolution(
             for dj, entry in zip(prev_degrees, vec):
                 if entry and dg - dj == 0:
                     raise ConsistencyError("resolution map acquired a unit entry")
-        # composition check: image of each new generator is zero in F_{s-2}
+        # composition check: image of each new generator is zero in F_{s-2}.
+        # It reads the previous map (as `flat`), never the kernels, and sums
+        # products of nonzero terms only, keyed by (i, monomial)
         if step >= 2:
             for vec in new_vectors:
-                image = [ring.zero() for _ in modules[step - 2]]
-                for j, entry in enumerate(vec):
-                    if not entry:
-                        continue
-                    for i, prev_entry in enumerate(maps[-1][j]):
-                        image[i] = image[i] + entry * prev_entry
-                if any(image_entry.terms for image_entry in image):
+                image: dict[tuple, int] = {}
+                for entry, terms in zip(vec, flat):
+                    for m, a in entry.terms.items():
+                        for i, mm, c in terms:
+                            key = (i, tuple(map(add, m, mm)))
+                            image[key] = image.get(key, 0) + a * c
+                if any(v % char for v in image.values()):
                     raise ConsistencyError("resolution maps do not compose to zero")
         else:
             for vec in new_vectors:

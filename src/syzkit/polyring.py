@@ -185,15 +185,19 @@ def _next_degree(prev: list[Mono], cuts: list[int], leads=None):
     with i >= the last variable of m (i is the last variable of u), and m
     divides u, so u is a member only if m is.  The products come out in
     order grouped by i, and a product is kept when no entry of `leads`
-    (as in _divisor) divides it.  Returns the degree-(d+1) members and
-    their cuts."""
+    (as in _divisor) divides it.  Each member of `prev` is masked once:
+    the mask of m*x_i is the mask of m with the x_i bit for exponent >= 1
+    set, and for m[i] >= 1 the bit for >= 2 as well.  Returns the
+    degree-(d+1) members and their cuts."""
     out: list[Mono] = []
     out_cuts = []
+    masks = None if leads is None else [_divmask(m) for m in prev]
     for i, cut in enumerate(cuts):
+        once, twice = 1 << (2 * i), 3 << (2 * i)
         for k in range(cut):
             m = prev[k]
             u = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if leads is None or _divisor(u, _divmask(u), leads) is None:
+            if masks is None or _divisor(u, masks[k] | (twice if m[i] else once), leads) is None:
                 out.append(u)
         out_cuts.append(len(out))
     return out, out_cuts

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzkit import koszul
 from syzkit.builders import complete_intersection, rational_normal_curve, scroll
-from syzkit.errors import BudgetError, InputError
+from syzkit.errors import BudgetError, ConsistencyError, InputError
 from syzkit.exactalg import rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
     betti_table,
+    certified_regularity,
     cocycle_class_is_zero,
     coboundary_rows,
     exterior_basis,
@@ -314,8 +317,19 @@ def test_resolution_truncation_flag(ci23):
          "d672c97c5829cdfec5d28d7cc637c1b456a66bada51d149f308c4ece6a9c2d25"),
         (lambda: rational_normal_curve(5),
          "80d8d0a73c1d52f3fc6601692fa4c824b524e240aacdabd15a59384061a4e9f4"),
+        (lambda: rational_normal_curve(6),
+         "78e3c34d76498a0dd6a1a4e5c504e72a5c4eb9840f3d98e4dd134d0e9dfed80a"),
+        (lambda: rational_normal_curve(7),
+         "0f4d06549a376f19928c3510643b6d0b03bed4cf32bc08424dcae00e9bcc97f3"),
+        (lambda: scroll((3, 3)),
+         "8ebb6e9a8f5a1a0bb2aea60786f7cfa3bd99448c1174a9d58d7a4c5fc080dd4c"),
+        (lambda: scroll((2, 2, 2)),
+         "1de1b18280a6f4aa52b2a404f8f17f7438c3eaaa7e52558e4be808b6ca5bedb0"),
     ],
-    ids=["rnc-3", "scroll-2-1", "scroll-1-1-1", "ci-2-3-seed-0", "scroll-2-1-1", "rnc-5"],
+    ids=[
+        "rnc-3", "scroll-2-1", "scroll-1-1-1", "ci-2-3-seed-0", "scroll-2-1-1", "rnc-5",
+        "rnc-6", "rnc-7", "scroll-3-3", "scroll-2-2-2",
+    ],
 )
 def test_resolution_maps_pinned(build, digest):
     # the oracle's generator vectors, not only its degrees, are canonical
@@ -327,6 +341,120 @@ def test_resolution_maps_pinned(build, digest):
         sort_keys=True,
     )
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _full_scan(ideal):
+    """The oracle with no certified regularity: every step scans up to its
+    heuristic cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "certified_regularity", lambda *args: None)
+        return minimal_free_resolution(ideal)
+
+
+def test_certificate_refuses_below_the_regularity(ci23):
+    # a (2, 3) complete intersection has regularity 2 + 3 - 1 = 4
+    for ideal in (ci23.ideal, complete_intersection((2, 3), seed=0).ideal):
+        assert certified_regularity(ideal, 2, 2) is None
+        assert certified_regularity(ideal, 3, 3) is None
+        assert certified_regularity(ideal, 4, 4) == 4
+        assert certified_regularity(ideal, 3, 6) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["forms", "monomials", "ci"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_cap_keeps_the_full_scan(nvars, p, kind, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
+    gens = []
+    for d in degrees:
+        monos = ring.monomials_of_degree(d)
+        if kind == "monomials":
+            gens.append(ring.monomial(rng.choice(monos)))
+        else:
+            # "ci": every coefficient nonzero and at most nvars - 1 forms, so
+            # over a large field a regular sequence; "forms": a few terms each
+            picks = monos if kind == "ci" else rng.sample(monos, min(3, len(monos)))
+            gens.append(ring.from_terms({m: rng.randrange(1, p) for m in picks}))
+    if kind == "ci":
+        gens = gens[: nvars - 1]
+    ideal = Ideal(ring, gens)
+    certified = []
+
+    def spy(*args):
+        certified.append(certified_regularity(*args))
+        return certified[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "certified_regularity", spy)
+        capped = minimal_free_resolution(ideal)
+    full = _full_scan(ideal)
+    assert capped.modules == full.modules
+    assert capped.maps == full.maps
+    assert capped.truncated == full.truncated
+    if certified and certified[0] is not None and not full.truncated:
+        # reg(I) = max_s (top degree of F_s) - s + 1, and m-regular means m >= reg(I)
+        assert certified[0] >= max(max(degs) - s + 1 for s, degs in enumerate(full.modules) if s)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scroll((2, 1), 2),
+        lambda: complete_intersection((2, 2, 2), char=2),
+        lambda: complete_intersection((2, 3), char=3),
+    ],
+    ids=["scroll-2-1-p2", "ci-2-2-2-p2", "ci-2-3-p3"],
+)
+def test_refused_certificate_scans_as_before(build):
+    # the fixed forms fail the criterion here, so the oracle keeps the
+    # heuristic cap and its output is the full scan's
+    scheme = build()
+    res = minimal_free_resolution(scheme.ideal)
+    top = max(res.modules[1])
+    assert certified_regularity(scheme.ideal, top, 2 * top) is None
+    full = _full_scan(scheme.ideal)
+    assert (res.modules, res.maps, res.truncated) == (full.modules, full.maps, full.truncated)
+    assert not res.truncated
+
+
+def test_oracle_reads_no_koszul_code(tc, ci23):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the resolution oracle called the Koszul route")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("koszul_rank", "_koszul_columns", "koszul_matrix", "koszul_dim"):
+            mp.setattr(koszul, name, refuse)
+        assert minimal_free_resolution(tc.ideal).modules == [[0], [2, 2, 2], [3, 3]]
+        assert minimal_free_resolution(ci23.ideal).modules == [[0], [2, 3], [5]]
+
+
+def test_composition_check_catches_a_wrong_generator(tc, monkeypatch):
+    # the twisted cubic's first syzygies all come from one complement call
+    # (degree 2); perturb one coefficient of the next nonempty one, a
+    # second syzygy, so only the composition check can notice
+    real = koszul.complement_basis
+    nonempty = []
+
+    def perturbed(sub, full, p):
+        out = real(sub, full, p)
+        if out.rows:
+            nonempty.append(out)
+            if len(nonempty) == 2:
+                row = dict(out.rows[0])
+                k = max(row)
+                row[k] = (row[k] + 1) % p or 1
+                out.rows[0] = row
+        return out
+
+    monkeypatch.setattr(koszul, "complement_basis", perturbed)
+    with pytest.raises(ConsistencyError, match="compose"):
+        minimal_free_resolution(tc.ideal)
 
 
 def test_koszul_space_dim_edges(tc):
