@@ -21,11 +21,14 @@ intersection via the t-trick); everything else in the package is graded.
 - Lead terms carry a divisibility mask that rules out most non-divisors
   before the exponents are compared, and detects coprime pairs.
 - S-pairs go through the Gebauer-Moeller update (criteria B, M and F) and
-  are taken by least lcm.
+  are taken by least (degree of lcm, key).  When the Hilbert function is
+  known exactly, a degree's remaining pairs are dropped once its leads
+  reach it (Traverso).
 - An Ideal caches its reduced GB, with the lead terms and keyed tails, in
   one entry per order.  Every GB lives there, eliminations included, and
-  that entry is the only caller of `buchberger`.  Colons I : x_i^infinity
-  read the GB in degrevlex with x_i last (Bayer-Stillman), in the same ring.
+  that entry is the only caller of `buchberger`; an elimination also fills
+  its result's DRL entry.  Colons I : x_i^infinity read the GB in
+  degrevlex with x_i last (Bayer-Stillman), in the same ring.
 """
 
 from __future__ import annotations
@@ -76,11 +79,18 @@ def _drl_int(e) -> int:
     return (sum(e) << (_KEY_BITS * len(e))) - packed
 
 
+def _check_var(i: int, nvars: int) -> None:
+    if not 0 <= i < nvars:
+        raise InputError(f"variable index {i} is out of range for a ring in {nvars} variables")
+
+
 class DegRevLex:
     """Degree reverse lexicographic order, x0 > x1 > ... > xn.  With
     `last=i`, x_i moves below every other variable, which keep their order."""
 
-    def __init__(self, last: int | None = None):
+    def __init__(self, last: int | None = None, nvars: int = 0):
+        if last is not None:
+            _check_var(last, nvars)
         self.last = last
         self.name = "degrevlex" if last is None else f"degrevlex(last={last})"
 
@@ -100,8 +110,10 @@ class BlockOrder:
     """
 
     def __init__(self, first: tuple[int, ...], nvars: int):
-        self.first = tuple(sorted(first))
-        self.rest = tuple(i for i in range(nvars) if i not in set(first))
+        for i in first:
+            _check_var(i, nvars)
+        self.first = tuple(sorted(set(first)))
+        self.rest = tuple(i for i in range(nvars) if i not in self.first)
         self.name = f"elim{self.first}"
         # the degrevlex int of the rest is below 2**_shift
         self._shift = _KEY_BITS * (len(self.rest) + 1)
@@ -587,13 +599,23 @@ def _normal_form_dict(h: dict, reducers: list, order, p: int) -> dict:
     return {m: c for m, _, c in _reduce(*state, reducers, p)}
 
 
-def buchberger(gens: list[dict], order, p: int) -> list[dict]:
+def buchberger(gens: list[dict], order, p: int, hilbert: list[int] | None = None) -> list[dict]:
     """Reduced Groebner basis (list of monic dicts, sorted by lead term).
 
     Buchberger's algorithm with the Gebauer-Moeller pair update: S-pairs
-    are taken by least lcm and reduced on a heap of order keys.  Accepts
-    inhomogeneous input.  The reduced basis is unique for the order, so
-    callers may compare ideals by comparing these lists.
+    are taken by least (degree of lcm, order key) and reduced on a heap of
+    order keys.  Accepts inhomogeneous input.  The reduced basis is unique
+    for the order, so callers may compare ideals by comparing these lists.
+
+    `hilbert`, given for homogeneous generators only, is the numerator of
+    the Hilbert series of R/I over (1-t)^nvars (Traverso's Hilbert-driven
+    stop).  At the first pair of degree d, the degree-d monomials outside
+    the leads found so far are grown from degree d - 1 by `_next_degree`;
+    each new lead of degree d removes one.  The leads lie in in(I), which
+    has the Hilbert function of I in any order, so the count is at least
+    HF(d); once it equals HF(d), the pairs left in degree d reduce to zero
+    and are dropped.  Targets must be exact: `Ideal._groebner_entry` takes
+    them from cached DRL leads or across a change of coordinates.
     """
     inputs = []
     for g in gens:
@@ -606,7 +628,7 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
     basis: list[tuple] = []  # every element found; pairs refer to indices
     active: list[int] = []  # indices of a minimal basis of what is found so far
     reducers: list[tuple] = []  # their reducer tuples
-    pairs: list[tuple] = []  # heap of (lcm key, i, j, lcm, lcm mask)
+    pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm, lcm mask)
 
     def update(h: int) -> None:
         """Gebauer-Moeller: add the pairs of h that criteria M and F keep,
@@ -618,10 +640,10 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
         kept = [
             pair
             for pair in pairs
-            if mask_h & ~pair[4]
-            or not all(map(le, lead_h, pair[3]))
-            or tuple(map(max, basis[pair[1]][0], lead_h)) == pair[3]
-            or tuple(map(max, basis[pair[2]][0], lead_h)) == pair[3]
+            if mask_h & ~pair[5]
+            or not all(map(le, lead_h, pair[4]))
+            or tuple(map(max, basis[pair[2]][0], lead_h)) == pair[4]
+            or tuple(map(max, basis[pair[3]][0], lead_h)) == pair[4]
         ]
         new = []
         for g in active:
@@ -640,7 +662,7 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
             ):
                 chosen.append(cand)
         kept += [
-            (order.key(lcm), g, h, lcm, lmask)
+            (sum(lcm), order.key(lcm), g, h, lcm, lmask)
             for lcm, lmask, coprime, g in chosen
             if not coprime
         ]
@@ -664,8 +686,25 @@ def buchberger(gens: list[dict], order, p: int) -> list[dict]:
     for r in inputs:
         add(_reduce(*_pending([(r[0], r[2], 1)] + r[4]), reducers, p))
 
+    # Hilbert-driven: the degree-`deg` monomials outside the leads when they
+    # were grown; each new lead of degree d takes one, until HF(d) are left
+    # and the basis holds `full` elements
+    n = len(inputs[0][0]) if inputs else 0
+    deg, std, cuts, full = 0, [(0,) * n], [1] * n, 0
     while pairs:
-        key_lcm, i, j, lcm, _ = heappop(pairs)
+        d, key_lcm, i, j, lcm, _ = heappop(pairs)
+        if hilbert is not None:
+            if d > deg:
+                while deg < d:
+                    std, cuts = _next_degree(std, cuts, reducers)
+                    deg += 1
+                full = len(basis) + len(std) - sum(
+                    c * math.comb(d - k + n - 1, n - 1) for k, c in enumerate(hilbert[: d + 1])
+                )
+                if full < len(basis):
+                    raise ConsistencyError(f"Hilbert target above the leads' count in degree {d}")
+            if len(basis) == full:
+                continue
         work, monos, heap = _pending(())
         ri, rj = basis[i], basis[j]
         _add_shifted(work, monos, heap, ri, tuple(map(sub, lcm, ri[0])), key_lcm - ri[2], 1, p)
@@ -807,11 +846,11 @@ class Ideal:
                 g = ring.parse(g)
             if g.ring != ring:
                 raise InputError("generator from a different ring")
-            if require_homogeneous and not g.is_homogeneous():
-                raise InputError(f"inhomogeneous generator: {g!r}")
             if g:
                 polys.append(g)
         self.gens = tuple(polys)
+        if require_homogeneous:
+            self.check_homogeneous()
         # order name -> (reduced GB, its reducer tuples); the reducers
         # carry the lead terms and their masks
         self._gb: dict[str, tuple[list[dict], list[tuple]]] = {}
@@ -820,9 +859,19 @@ class Ideal:
         self._std: list[tuple[list[Mono], dict[Mono, int], list[int]]] = []
         self._nf_cache: dict = {}
         self._hilbert: HilbertData | None = None
+        # the Hilbert numerator, from the DRL leads or a change of coordinates
+        self._numerator: list[int] | None = None
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
+
+    def check_homogeneous(self) -> "Ideal":
+        """This ideal, once every generator is checked to be homogeneous
+        (InputError otherwise).  Its cached bases are kept."""
+        for g in self.gens:
+            if not g.is_homogeneous():
+                raise InputError(f"inhomogeneous generator: {g!r}")
+        return self
 
     # -- Groebner ----------------------------------------------------------
 
@@ -830,7 +879,12 @@ class Ideal:
         got = self._gb.get(order.name)
         if got is None:
             p = self.ring.char
-            gb = buchberger([g.terms for g in self.gens], order, p)
+            # the Hilbert target only when it is exact: from the cached DRL
+            # leads or carried over `change_coordinates`, for homogeneous gens
+            known = self._numerator is not None or DRL.name in self._gb
+            homogeneous = all(g.is_homogeneous() for g in self.gens)
+            target = self.hilbert_series_numerator() if known and homogeneous else None
+            gb = buchberger([g.terms for g in self.gens], order, p, target)
             got = (gb, [_reducer(g, order, p) for g in gb])
             self._gb[order.name] = got
         return got
@@ -955,12 +1009,12 @@ class Ideal:
 
     def hilbert_series_numerator(self) -> list[int]:
         """Numerator of the Hilbert series of R/I over (1-t)^nvars (exact,
-        from the lead-term ideal)."""
-        num = _hilbert_numerator(_minimalize(self.lead_monomials()), {})
-        if not num:
-            return [0]
-        top = max(num)
-        return [num.get(k, 0) for k in range(top + 1)]
+        from the lead-term ideal, or from the ideal this one was moved from
+        by `change_coordinates`).  Cached: callers must not modify it."""
+        if self._numerator is None:
+            num = _hilbert_numerator(_minimalize(self.lead_monomials()), {})
+            self._numerator = [num.get(k, 0) for k in range(max(num) + 1)] if num else [0]
+        return self._numerator
 
     def hilbert_data(self) -> HilbertData:
         """Dimension, degree and Hilbert polynomial of Proj(R/I).
@@ -1025,10 +1079,8 @@ class Ideal:
         colon.  When no element is divisible by x_i, I : x_i = I and `self`
         is returned."""
         n = self.ring.nvars
-        for g in self.gens:
-            if not g.is_homogeneous():
-                raise InputError("colon_var_saturation needs a homogeneous ideal")
-        gb = self.groebner(DRL if i == n - 1 else DegRevLex(last=i))
+        self.check_homogeneous()
+        gb = self.groebner(DRL if i == n - 1 else DegRevLex(last=i, nvars=n))
         powers = [min(m[i] for m in g) for g in gb]
         if not any(powers):
             return self
@@ -1069,7 +1121,7 @@ class Ideal:
             out = out.intersect(c)
         # t-trick bases are homogeneous in the x-variables (t has weight 0),
         # so the kept elements are homogeneous
-        return Ideal(self.ring, out.gens)
+        return out.check_homogeneous()
 
     def equal_as_schemes(self, other: "Ideal") -> bool:
         """Do the two homogeneous ideals cut out the same closed subscheme,
@@ -1082,18 +1134,21 @@ class Ideal:
 
     def eliminate(self, drop: tuple[int, ...]) -> "Ideal":
         """Intersection with the subring omitting the `drop` variables,
-        returned in the smaller ring (names preserved)."""
-        drop = tuple(sorted(set(drop)))
-        keep = [i for i in range(self.ring.nvars) if i not in drop]
-        gb = self.groebner(BlockOrder(drop, self.ring.nvars))
-        ring2 = PolyRing(self.ring.field, tuple(self.ring.names[i] for i in keep))
-        kept = []
-        for g in gb:
-            if all(all(m[i] == 0 for i in drop) for m in g):
-                kept.append(
-                    Polynomial(ring2, {tuple(m[i] for i in keep): c for m, c in g.items()})
-                )
-        return Ideal(ring2, kept, require_homogeneous=False)
+        returned in the smaller ring (names preserved).
+
+        The block order compares the kept variables by degrevlex, and the
+        block basis is sorted by lead, so its elements free of `drop` are
+        the reduced DRL basis of the result, in order, and are cached so."""
+        order = BlockOrder(drop, self.ring.nvars)
+        ring2 = PolyRing(self.ring.field, tuple(self.ring.names[i] for i in order.rest))
+        kept = [
+            {tuple(m[i] for i in order.rest): c for m, c in g.items()}
+            for g in self.groebner(order)
+            if not any(m[i] for m in g for i in order.first)
+        ]
+        out = Ideal(ring2, [Polynomial(ring2, dict(g)) for g in kept], require_homogeneous=False)
+        out._gb[DRL.name] = (kept, [_reducer(g, DRL, ring2.char) for g in kept])
+        return out
 
     def change_coordinates(self, matrix) -> "Ideal":
         """Apply the substitution x_i -> sum_j matrix[i][j] x_j to every
@@ -1102,7 +1157,11 @@ class Ideal:
         a = _square_rows(matrix, n, self.ring.char, "coordinate change")
         if matrix_rank(a, self.ring.char) != n:
             raise InputError("coordinate change matrix is singular")
-        return Ideal(self.ring, [g.substitute_linear(a) for g in self.gens])
+        out = Ideal(self.ring, [g.substitute_linear(a) for g in self.gens])
+        if DRL.name in self._gb:
+            # the change is invertible, so it keeps the Hilbert function
+            out._numerator = self.hilbert_series_numerator()
+        return out
 
     def extend_ring(self, new_name: str) -> "Ideal":
         """The same generators viewed in a ring with one extra (last)
@@ -1130,9 +1189,7 @@ class EmbeddedScheme:
     """
 
     def __init__(self, ideal: Ideal, labels: dict | None = None):
-        for g in ideal.gens:
-            if not g.is_homogeneous():
-                raise InputError(f"scheme ideal has inhomogeneous generator {g!r}")
+        ideal.check_homogeneous()
         if ideal.is_unit_ideal():
             raise InputError("unit ideal does not define a subscheme of P^n")
         for lm in ideal.lead_monomials():
@@ -1141,11 +1198,22 @@ class EmbeddedScheme:
                     "ideal contains a linear form; the scheme is degenerate "
                     f"(lead monomial {ideal.ring.format_mono(lm)})"
                 )
+        self._adopt(ideal, labels)
+
+    def _adopt(self, ideal: Ideal, labels: dict | None) -> None:
         self.ideal = ideal
         self.ring = ideal.ring
         self.labels = dict(labels or {})
         self._parametrization = None  # set by builders for point sampling
         self._koszul_ranks: dict = {}
+
+    def change_coordinates(self, matrix, labels: dict | None = None) -> "EmbeddedScheme":
+        """The scheme under `Ideal.change_coordinates`.  An invertible linear
+        change keeps it homogeneous, non-unit and nondegenerate, so it is not
+        validated again, and its DRL basis is computed when first read."""
+        moved = object.__new__(EmbeddedScheme)
+        moved._adopt(self.ideal.change_coordinates(matrix), labels)
+        return moved
 
     @property
     def ambient_dim(self) -> int:

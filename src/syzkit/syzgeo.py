@@ -246,15 +246,11 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
         raise InputError("cannot project a zero-dimensional scheme from itself")
     mat = move_point_matrix(pt)
     inv = matrix_inverse(mat, scheme.char)
-    moved_ideal = scheme.ideal.change_coordinates(mat)
-    moved = EmbeddedScheme(
-        moved_ideal, labels={**scheme.labels, "moved-point": "last-coordinate"}
-    )
+    moved = scheme.change_coordinates(mat, {**scheme.labels, "moved-point": "last-coordinate"})
     n = scheme.ring.nvars - 1
-    projected_ideal = moved_ideal.eliminate((n,))
+    # the elimination ideal carries its DRL basis; the scheme checks homogeneity
     projected = EmbeddedScheme(
-        Ideal(projected_ideal.ring, projected_ideal.gens),
-        labels={**scheme.labels, "projected-from": "point"},
+        moved.ideal.eliminate((n,)), labels={**scheme.labels, "projected-from": "point"}
     )
     return ProjectionContext(
         source=scheme, point=pt, matrix=mat, matrix_inv=inv, moved=moved, projected=projected

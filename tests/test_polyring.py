@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzkit.errors import BudgetError, InputError
+from syzkit.errors import BudgetError, ConsistencyError, InputError
 from syzkit.exactalg import matrix_inverse, rank
 from syzkit.polyring import (
     DEGREE_LIMIT,
@@ -466,7 +466,7 @@ def _tuple_order(first, n, last=None):
 def _order(first, n, last=None):
     """The packed order that _tuple_order(first, n, last) describes."""
     if first is None:
-        return DRL if last is None else DegRevLex(last=last)
+        return DRL if last is None else DegRevLex(last=last, nvars=n)
     return BlockOrder(first, n)
 
 
@@ -558,6 +558,87 @@ def test_groebner_basis_by_an_independent_route(nvars, p, which, seed):
             if sum(max(g, key=key)) == d and all(sum(m) == d for m in g):
                 row = [g.get(m, 0) for m in ring.monomials_of_degree(d)]
                 assert (rank(rows + [row], p) if rows else 1) == r
+
+
+def _invertible(rng, n, p):
+    while True:
+        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if rank(a, p) == n:
+            return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([2, 3, 32003]),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_hilbert_driven_bases_equal_the_plain_ones(nvars, p, ngens, seed):
+    # zero to four forms of mixed degrees; zero forms is the zero ideal
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 2, 3)) for _ in range(ngens)]
+    ideal = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 6)))
+    numerator = ideal.hilbert_series_numerator()  # from the DRL leads
+    moved = ideal.change_coordinates(_invertible(rng, nvars, p))
+    orders = [DRL, DegRevLex(last=rng.randrange(nvars), nvars=nvars), BlockOrder((nvars - 1,), nvars)]
+    for source in (ideal, moved):
+        gens = [g.terms for g in source.gens]
+        for order in orders:
+            plain = [list(g.items()) for g in buchberger(gens, order, p)]
+            hinted = [list(g.items()) for g in buchberger(gens, order, p, numerator)]
+            assert hinted == plain
+            # the ideal passes the same target itself
+            assert [list(g.items()) for g in source.groebner(order)] == plain
+    assert moved.hilbert_series_numerator() == numerator
+    assert Ideal(ring, moved.gens).hilbert_series_numerator() == numerator
+
+
+def test_a_target_above_the_hilbert_function_is_refused(r4):
+    # the twisted cubic has HF(3) = 10; this numerator asks for 13, more
+    # than the leads of its quadrics leave standard in degree 3
+    gens = [g.terms for g in twisted_cubic(r4).gens]
+    with pytest.raises(ConsistencyError, match="degree 3"):
+        buchberger(gens, BlockOrder((3,), 4), 32003, [1, 0, -2, 1])
+
+
+def test_elimination_carries_its_drl_basis(r4, monkeypatch):
+    import syzkit.polyring as polyring
+
+    rng = random.Random(5)
+    projection = twisted_cubic(r4).change_coordinates(_invertible(rng, 4, 32003)).eliminate((3,))
+    r3 = PolyRing(32003, ("x0", "x1", "x2"))
+    left, right = Ideal(r3, ["x0*x1", "x2^2"]), Ideal(r3, ["x1^2 - x0*x2", "x0*x2 + x2^2"])
+    meet = left.intersect(right)
+    for out in (projection, meet):
+        carried = out._groebner_entry(DRL)
+        fresh = Ideal(out.ring, out.gens, require_homogeneous=False)
+        monkeypatch.setattr(polyring, "buchberger", None)  # the cache must answer
+        assert out.groebner() is carried[0]
+        monkeypatch.undo()
+        computed = fresh._groebner_entry(DRL)
+        assert [list(g.items()) for g in carried[0]] == [list(g.items()) for g in computed[0]]
+        assert carried[1] == computed[1]
+    assert left.contains_ideal(meet) and right.contains_ideal(meet)
+
+
+def test_out_of_range_variable_indices_are_refused():
+    ring = PolyRing(32003, ("x", "y", "z"))
+    ideal = Ideal(ring, ["x*z - y^2"])
+    for i in (-1, 3, 5):
+        pattern = f"index {i} is out of range for a ring in 3 variables"
+        with pytest.raises(InputError, match=pattern):
+            ideal.eliminate((i,))
+        with pytest.raises(InputError, match=pattern):
+            ideal.eliminate((0, i))
+        with pytest.raises(InputError, match=pattern):
+            ideal.colon_var_saturation(i)
+        with pytest.raises(InputError, match=pattern):
+            DegRevLex(last=i, nvars=3)
+        with pytest.raises(InputError, match=pattern):
+            BlockOrder((i,), 3)
+    assert ideal.colon_var_saturation(2) is ideal
 
 
 @settings(max_examples=200, deadline=None)

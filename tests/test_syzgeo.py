@@ -24,7 +24,7 @@ from syzkit.koszul import (
     coboundary_rows,
     k_p1_cocycle_basis,
 )
-from syzkit.polyring import EmbeddedScheme, Ideal, PolyRing
+from syzkit.polyring import BlockOrder, EmbeddedScheme, Ideal, PolyRing
 from syzkit.syzgeo import (
     MembershipResult,
     ProjectivePoint,
@@ -230,6 +230,44 @@ def test_project_curve_from_external_point(tc):
     # the moved scheme is the curve in new coordinates: same Hilbert data
     mhd = ctx.moved.hilbert_data()
     assert (mhd.dimension, mhd.degree) == (1, 3)
+
+
+@pytest.mark.parametrize("point", [(1, 1, 1, 1), (0, 1, 0, 0), (3, 1, 4, 1)])
+def test_projection_computes_only_the_elimination_basis(monkeypatch, point):
+    from syzkit import polyring
+
+    tc = twisted_cubic()  # validated: its DRL basis is cached
+    orders = []
+    real = polyring.buchberger
+
+    def counting(gens, order, p, hilbert=None):
+        orders.append(order.name)
+        return real(gens, order, p, hilbert)
+
+    monkeypatch.setattr(polyring, "buchberger", counting)
+    ctx = project_scheme(tc, point)
+    assert orders == [BlockOrder((3,), 4).name]
+    monkeypatch.undo()
+    # the schemes built from scratch: the moved ideal validated again, the
+    # projected one re-wrapped from the elimination generators
+    mat = move_point_matrix(ctx.point)
+    ring = tc.ring
+    moved = EmbeddedScheme(
+        Ideal(ring, [g.substitute_linear(mat) for g in tc.ideal.gens]),
+        labels={**tc.labels, "moved-point": "last-coordinate"},
+    )
+    eliminated = Ideal(ring, moved.ideal.gens).eliminate((3,))
+    projected = EmbeddedScheme(
+        Ideal(eliminated.ring, eliminated.gens), labels={**tc.labels, "projected-from": "point"}
+    )
+    for got, want in ((ctx.moved, moved), (ctx.projected, projected)):
+        assert got.ideal.gens == want.ideal.gens
+        assert got.labels == want.labels
+        assert got.hilbert_data() == want.hilbert_data()
+        assert got.ideal.hilbert_series_numerator() == want.ideal.hilbert_series_numerator()
+        assert [list(g.items()) for g in got.ideal.groebner()] == [
+            list(g.items()) for g in want.ideal.groebner()
+        ]
 
 
 def test_project_rejects_wrong_length(tc):
