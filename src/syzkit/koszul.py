@@ -28,9 +28,11 @@ a list of int rows, for the callers that want one.
 by degree with graded kernels and minimal generator selection, never
 touching the Koszul code path.  Each step scans degrees up to reg(I) + s - 1
 when `certified_regularity` certifies reg(I) by the Bayer–Stillman
-criterion, and up to a heuristic cap otherwise; consecutive maps are
-checked to compose to zero, and completeness is certified against the
-exact Hilbert series numerator.
+criterion, and up to a heuristic cap otherwise.  Its maps are kept as the
+nonzero (generator, monomial, coefficient) terms that the next step's
+presentation reads; consecutive maps are checked to compose to zero over
+those terms, and completeness is certified against the exact Hilbert
+series numerator.
 """
 
 from __future__ import annotations
@@ -349,10 +351,18 @@ class KoszulCocycle:
 
     @classmethod
     def from_json_dict(cls, scheme: EmbeddedScheme, d: dict) -> "KoszulCocycle":
+        """The cocycle of `to_json_dict`; every number must be a JSON integer."""
+
+        def integer(v) -> int:
+            if type(v) is not int:
+                raise InputError(f"malformed cocycle JSON: expected an integer, got {v!r}")
+            return v
+
         try:
-            p = int(d["p"])
+            p = integer(d["p"])
             coeffs = {
-                (tuple(t["wedge"]), int(t["var"])): int(t["coeff"]) for t in d["terms"]
+                (tuple(map(integer, t["wedge"])), integer(t["var"])): integer(t["coeff"])
+                for t in d["terms"]
             }
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed cocycle JSON: {exc}") from exc
@@ -396,24 +406,6 @@ def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = Non
         vec[idx] = c
     ok, _ = in_span(vec, cob.transpose(), scheme.char)
     return ok
-
-
-def res_map(target: EmbeddedScheme, cocycle: KoszulCocycle) -> KoszulCocycle:
-    """Push a linear-strand cocycle along a surjection of coordinate rings.
-
-    Requires I(source) contained in I(target) (same ambient ring); the same
-    tensor then represents a cocycle for the target, because its pure
-    differential lands in I(source)_2 which sits inside I(target)_2."""
-    source = cocycle.scheme
-    if target.ring != source.ring:
-        raise InputError("res_map needs schemes in the same ambient ring")
-    for g in source.ideal.gens:
-        if not target.ideal.contains(g):
-            raise InputError("res_map: source ideal is not contained in target ideal")
-    out = KoszulCocycle(target, cocycle.p, dict(cocycle.coeffs))
-    if not out.is_cocycle():
-        raise ConsistencyError("res_map produced a non-cocycle; this is a bug")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +464,13 @@ class Resolution:
     """A minimal graded free resolution of R/I, possibly truncated.
 
     modules[s] lists the generator degrees of F_s (modules[0] == [0]);
-    maps[s] presents the generators of F_{s+1} as vectors of polynomials
-    over the generators of F_s.  `truncated` is False only when the
-    alternating sum of generator degrees reproduces the exact Hilbert
-    series numerator of R/I — a completeness certificate independent of
-    the degrees each step scanned."""
+    maps[s] lists the generators of F_{s+1}, each as its nonzero terms
+    (j, monomial, coefficient), one per term c * monomial of its entry at
+    generator j of F_s; terms run generator j first, then monomials
+    degrevlex-descending, and zero entries have none.  `truncated` is
+    False only when the alternating sum of generator degrees reproduces
+    the exact Hilbert series numerator of R/I — a completeness
+    certificate independent of the degrees each step scanned."""
 
     ideal: Ideal
     modules: list
@@ -585,7 +579,7 @@ def minimal_free_resolution(
     if length_bound is None:
         length_bound = nv
     modules: list[list[int]] = [[0]]
-    maps: list[list[list[Polynomial]]] = []
+    maps: list[list[list[tuple]]] = []
 
     def layout(degrees: list[int], d: int):
         """The degree-d coordinates (j, m) of the free module with
@@ -631,13 +625,8 @@ def minimal_free_resolution(
                 reg = certified_regularity(ideal, max(prev_degrees), scan_max)
             if reg is not None:
                 scan_max = min(scan_max, reg + step - 1)
-            # the previous generators' entries as (row generator, monomial, coefficient)
-            flat = [
-                [(i, mm, c) for i, entry in enumerate(vec) for mm, c in entry.terms.items()]
-                for vec in maps[-1]
-            ]
         new_degrees: list[int] = []
-        new_vectors: list[list[Polynomial]] = []
+        new_vectors: list[list[tuple]] = []
         # the previous degree's kernel piece, as rows over its coordinates
         prev_kernel: list[dict] = []
         prev_coords: list = []
@@ -660,7 +649,7 @@ def minimal_free_resolution(
                 ci = 0
                 for j, dj in enumerate(prev_degrees):
                     b = d - dj
-                    terms = [(offsets[i], products(mm, b), c) for i, mm, c in flat[j]]
+                    terms = [(offsets[i], products(mm, b), c) for i, mm, c in maps[-1][j]]
                     for k in range(len(ring.monomials_of_degree(b))):
                         for base, prods, c in terms:
                             rows[base + prods[k]][ci] = c
@@ -677,37 +666,31 @@ def minimal_free_resolution(
             ]
             new = complement_basis(SparseRows(old_rows, len(coords)), ker, char)
             for row in new.rows:
-                terms: list[dict] = [{} for _ in prev_degrees]
-                for idx, c in sorted(row.items()):
-                    j, m = coords[idx]
-                    terms[j][m] = c
                 new_degrees.append(d)
-                new_vectors.append([Polynomial(ring, t) for t in terms])
+                new_vectors.append([coords[idx] + (c,) for idx, c in sorted(row.items())])
             # the full kernel piece (not just new gens) feeds the next degree
             prev_kernel, prev_coords = ker.rows, coords
         if not new_degrees:
             break
         # minimality check: no unit (degree-zero) entries
         for dg, vec in zip(new_degrees, new_vectors):
-            for dj, entry in zip(prev_degrees, vec):
-                if entry and dg - dj == 0:
-                    raise ConsistencyError("resolution map acquired a unit entry")
+            if any(prev_degrees[j] == dg for j, _, _ in vec):
+                raise ConsistencyError("resolution map acquired a unit entry")
         # composition check: image of each new generator is zero in F_{s-2}.
-        # It reads the previous map (as `flat`), never the kernels, and sums
-        # products of nonzero terms only, keyed by (i, monomial)
+        # It reads the previous map, never the kernels, and sums products of
+        # nonzero terms only, keyed by (i, monomial)
         if step >= 2:
             for vec in new_vectors:
                 image: dict[tuple, int] = {}
-                for entry, terms in zip(vec, flat):
-                    for m, a in entry.terms.items():
-                        for i, mm, c in terms:
-                            key = (i, tuple(map(add, m, mm)))
-                            image[key] = image.get(key, 0) + a * c
+                for j, m, a in vec:
+                    for i, mm, c in maps[-1][j]:
+                        key = (i, tuple(map(add, m, mm)))
+                        image[key] = image.get(key, 0) + a * c
                 if any(v % char for v in image.values()):
                     raise ConsistencyError("resolution maps do not compose to zero")
         else:
             for vec in new_vectors:
-                if ideal.normal_form(vec[0]).terms:
+                if ideal.normal_form(Polynomial(ring, {m: c for _, m, c in vec})).terms:
                     raise ConsistencyError("step-1 generator is not in the ideal")
         modules.append(new_degrees)
         maps.append(new_vectors)

@@ -971,23 +971,13 @@ class Ideal:
 
         Each element has a single nonstandard monomial (its own m), so the
         coefficient vector of any element of I_d on this basis is just its
-        coefficients at the nonstandard monomials (see graded_coordinates).
+        coefficients at the nonstandard monomials.
         """
         out = []
         for m in self.nonstandard_monomials(d):
             nf = self.normal_form(self.ring.monomial(m))
             out.append(self.ring.monomial(m) - nf)
         return out
-
-    def graded_coordinates(self, f: Polynomial, d: int) -> list[int]:
-        """Coordinates of f in the graded_basis(d) layout.  f must lie in
-        I_d (checked)."""
-        if f and (not f.is_homogeneous() or f.degree() != d):
-            raise InputError(f"not homogeneous of degree {d}: {f!r}")
-        if self.normal_form(f).terms:
-            raise InputError("polynomial is not in the ideal")
-        nonstd = self.nonstandard_monomials(d)
-        return [f.terms.get(m, 0) for m in nonstd]
 
     def nf_times_var(self, mono: Mono, var: int) -> dict:
         """Cached normal form of x_var * mono (mono given as an exponent

@@ -276,6 +276,26 @@ def test_syzscheme_accepts_class_file(capsys, tmp_path):
     assert report["payload"]["syzygy_scheme"]["hilbert"] == {"dimension": 1, "degree": 3}
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"p": "x", "terms": []},
+        {"p": 1, "terms": [{"wedge": [0], "var": 1, "coeff": "abc"}]},
+        {"p": 1, "terms": [{"wedge": ["a"], "var": 1, "coeff": 1}]},
+        {"p": 1, "terms": [{"wedge": [0], "var": 1.5, "coeff": 1}]},
+        {"p": True, "terms": [{"wedge": [0], "var": 1, "coeff": 1}]},
+    ],
+    ids=["p-string", "coeff-string", "wedge-string", "var-float", "p-bool"],
+)
+def test_malformed_class_file_exits_2(data, capsys, tmp_path):
+    class_path = tmp_path / "class.json"
+    class_path.write_text(json.dumps(data))
+    assert main(["syzscheme", "rnc 3", "--class-file", str(class_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: malformed cocycle JSON" in err
+    assert "Traceback" not in err
+
+
 def test_project_scheme_and_class(capsys):
     rc, report = run_json(
         capsys,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from syzkit import koszul
 from syzkit.builders import complete_intersection, rational_normal_curve, scroll
 from syzkit.errors import BudgetError, ConsistencyError, InputError
-from syzkit.exactalg import rref
+from syzkit.exactalg import SparseRows, rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
@@ -28,9 +28,8 @@ from syzkit.koszul import (
     linear_strand_dim_from_ideal,
     minimal_free_resolution,
     removal_sign,
-    res_map,
 )
-from syzkit.polyring import EmbeddedScheme, Ideal, PolyRing
+from syzkit.polyring import EmbeddedScheme, Ideal, PolyRing, Polynomial
 
 
 def dense(m):
@@ -250,20 +249,6 @@ def test_perturbation_keeps_class(seed):
     assert not cocycle_class_is_zero(perturbed)
 
 
-def test_res_map(tc):
-    sub = EmbeddedScheme(
-        Ideal(tc.ring, ["x0*x2 - x1^2", "x0*x3 - x1*x2"]),
-        labels={"kind": "partial"},
-    )
-    alpha = k_p1_cocycle_basis(sub, 1)[0]
-    moved = res_map(tc, alpha)
-    assert moved.scheme is tc
-    assert moved.is_cocycle()
-    # the reverse containment fails
-    with pytest.raises(InputError):
-        res_map(sub, k_p1_cocycle_basis(tc, 1)[0])
-
-
 # -- minimal free resolution oracle -------------------------------------------
 
 
@@ -336,11 +321,40 @@ def test_resolution_maps_pinned(build, digest):
     scheme = build()
     assert scheme.char == 32003
     res = minimal_free_resolution(scheme.ideal)
-    blob = json.dumps(
-        {"modules": res.modules, "maps": [[[str(e) for e in v] for v in m] for m in res.maps]},
-        sort_keys=True,
-    )
+    blob = json.dumps({"modules": res.modules, "maps": _dense_strings(res)}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _dense_strings(res):
+    """Each generator of res.maps as one polynomial string per generator
+    of the previous module, zero entries included: the rendering the
+    digests above were pinned on."""
+    out = []
+    for s, gens in enumerate(res.maps):
+        rendered = []
+        for vec in gens:
+            entries = [{} for _ in res.modules[s]]
+            for j, m, c in vec:
+                entries[j][m] = c
+            rendered.append([str(Polynomial(res.ideal.ring, t)) for t in entries])
+        out.append(rendered)
+    return out
+
+
+def test_resolution_maps_hold_only_their_terms():
+    # rnc 6's maps are mostly zero entries: held as one Polynomial per
+    # entry they took 0.56 MB, as their nonzero terms 0.03 MB.  The first
+    # call warms the ideal's caches, so the second holds only its result
+    ideal = rational_normal_curve(6).ideal
+    minimal_free_resolution(ideal)
+    tracemalloc.start()
+    try:
+        res = minimal_free_resolution(ideal)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert res.modules[1:3] == [[2] * 15, [3] * 40]
+    assert held < 0.2 * 2**20
 
 
 def _full_scan(ideal):
@@ -423,6 +437,26 @@ def test_refused_certificate_scans_as_before(build):
     assert not res.truncated
 
 
+def test_refused_certificate_keeps_the_truncation_flag():
+    # over F_2 the fixed forms refuse this ideal and the heuristic cap cuts
+    # its resolution short: the Hilbert numerator is
+    # 1 - 3t^3 + 3t^6 + t^7 - 2t^8, which the degrees found do not reach,
+    # and the oracle must say so rather than claim completeness
+    ring = PolyRing(2, ("x0", "x1", "x2", "x3"))
+    ideal = Ideal(
+        ring,
+        [
+            "x1^2*x2 + x1^2*x3 + x2*x3^2",
+            "x0^2*x3 + x0*x3^2 + x2*x3^2",
+            "x0^2*x2 + x2^3 + x0*x2*x3",
+        ],
+    )
+    assert certified_regularity(ideal, 3, 12) is None
+    res = minimal_free_resolution(ideal, degree_bound=30)
+    assert res.modules == [[0], [3, 3, 3], [6, 6, 6], [9]]
+    assert res.truncated is True
+
+
 def test_oracle_reads_no_koszul_code(tc, ci23):
     def refuse(*args, **kwargs):
         raise AssertionError("the resolution oracle called the Koszul route")
@@ -455,6 +489,33 @@ def test_composition_check_catches_a_wrong_generator(tc, monkeypatch):
     monkeypatch.setattr(koszul, "complement_basis", perturbed)
     with pytest.raises(ConsistencyError, match="compose"):
         minimal_free_resolution(tc.ideal)
+
+
+@pytest.mark.parametrize(
+    "width, row, message",
+    [
+        # step 2, degree 3: F_1 = S(-2) + S(-3) has the coordinates x_v e_0
+        # and the constant e_1, so a term at e_1 is a unit entry
+        (5, {4: 1}, "unit entry"),
+        # step 1, degree 2: x0^2 is not in the ideal
+        (10, {0: 1}, "not in the ideal"),
+    ],
+    ids=["unit-entry", "outside-the-ideal"],
+)
+def test_oracle_checks_catch_a_bad_generator(ci23, monkeypatch, width, row, message):
+    real = koszul.complement_basis
+    done = []
+
+    def with_bad_row(sub, full, p):
+        out = real(sub, full, p)
+        if full.ncols == width and not done:
+            done.append(row)
+            out = SparseRows(out.rows + [row], out.ncols)
+        return out
+
+    monkeypatch.setattr(koszul, "complement_basis", with_bad_row)
+    with pytest.raises(ConsistencyError, match=message):
+        minimal_free_resolution(ci23.ideal)
 
 
 def test_koszul_space_dim_edges(tc):

@@ -229,10 +229,6 @@ def test_graded_pieces_twisted_cubic(r4):
     assert len(basis2) == 3
     for g in basis2:
         assert ideal.contains(g) and g.degree() == 2
-    coords = ideal.graded_coordinates(r4.parse("x0*x2 - x1^2"), 2)
-    assert coords == [32002, 0, 0]  # nonstandard monomials are x1^2, x1*x2, x2^2
-    with pytest.raises(InputError):
-        ideal.graded_coordinates(r4.parse("x0*x3"), 2)
 
 
 def test_standard_plus_nonstandard_is_everything(r4):
