@@ -17,6 +17,21 @@ Bases are canonical: wedge tuples in lexicographic order (index-major),
 monomials degrevlex-descending; matrices act on column vectors, rows are
 the target basis.
 
+The ranks are taken on a hyperplane section of S, not on S itself
+(Green, "Koszul cohomology and the geometry of projective varieties", J.
+Diff. Geom. 1984).  If a linear form h is a nonzerodivisor on S, then S
+over R and S/hS over R/(h) have the same graded Betti numbers, and so
+does a regular sequence h_1..h_k, one form at a time.  `artinian_reduction`
+cuts S by the forms x_{keep+j} - l_j(x_0..x_{keep-1}), keep = nvars - k,
+and certifies the cut by the Hilbert series: the forms are a regular
+sequence on S exactly when HS(S/(h)S) = (1-t)^k HS(S), that is, when the
+cut ideal in keep variables has the Hilbert numerator of I.  k starts at
+the Krull dimension of S, so a Cohen-Macaulay S cut by general enough
+forms becomes Artinian, and drops by one each time the certificate
+fails, down to k = 0, which is S.
+`koszul_dim`, and so `betti_table`, reads the reduction; `koszul_rank`,
+the cocycles and the two independent routes read S.
+
 delta is assembled in one place, column by column, as sparse dicts.  A
 rank is the rank of the transpose: the forward elimination pass alone,
 run on those sparse columns, so no rank makes delta or an echelon form
@@ -45,7 +60,7 @@ from operator import add
 
 from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref
-from .polyring import EmbeddedScheme, Ideal, Polynomial
+from .polyring import EmbeddedScheme, Ideal, Polynomial, PolyRing
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
 
@@ -167,17 +182,72 @@ def koszul_rank(
     return got
 
 
+def artinian_reduction(scheme: EmbeddedScheme) -> EmbeddedScheme:
+    """A hyperplane section of the coordinate ring S = R/I by a certified
+    regular sequence of linear forms, with the graded Betti numbers of S;
+    cached on the scheme.
+
+    For k from the Krull dimension of S (capped at nvars - 1, so one
+    variable is always kept) down to 1, with keep = nvars - k: substitute
+    x_{keep+j} -> x_{keep+j} + l_j(x_0..x_{keep-1}) by a lower-unitriangular
+    matrix, then set the last k variables to zero.  That restricts I to
+    x_{keep+j} = l_j, where
+
+        l_j = sum_{v < keep} (j + 1)^(v + 1) x_v,   j = 0..k-1,
+
+    so l_0 is the sum of the kept variables at every prime, and at keep = 1
+    the cut is the point (1, 1, 2, ..., k).  The first k whose cut ideal
+    has the Hilbert numerator of I is taken: equal numerators mean the k
+    forms x_{keep+j} - l_j are a regular sequence on S.  A pattern that
+    fails only lowers k, down to S itself (k = 0).  The cut ideal's basis
+    is computed without a Hilbert target: its numerator is what is being
+    certified.  When S is Cohen-Macaulay and the forms are general enough,
+    the section is Artinian; otherwise k is at most the depth of S.
+    """
+    got = scheme._reduction
+    if got is not None:
+        return got
+    got = scheme
+    ring, ideal = scheme.ring, scheme.ideal
+    nv, char = ring.nvars, ring.char
+    numerator = ideal.hilbert_series_numerator()
+    for k in range(min(scheme.hilbert_data().dimension + 1, nv - 1), 0, -1):
+        keep = nv - k
+        matrix = [[int(i == j) for j in range(nv)] for i in range(nv)]
+        for j in range(k):
+            matrix[keep + j][:keep] = [pow(j + 1, v + 1, char) for v in range(keep)]
+        small = PolyRing(ring.field, ring.names[:keep])
+        cut = Ideal(small, [
+            Polynomial(small, {m[:keep]: c for m, c in g.terms.items() if not any(m[keep:])})
+            for g in ideal.change_coordinates(matrix).gens
+        ])
+        if cut.hilbert_series_numerator() == numerator:
+            got = EmbeddedScheme(cut)
+            break
+    scheme._reduction = got
+    return got
+
+
 def koszul_dim(
     scheme: EmbeddedScheme, p: int, q: int, entry_budget: int | None = None
 ) -> int:
-    """b_{p,q} = dim of the (p,q) Koszul cohomology of the coordinate ring."""
+    """b_{p,q} = dim of the (p,q) Koszul cohomology of the coordinate ring.
+
+    The budget is checked on the shapes of delta_{p,q} and delta_{p+1,q-1}
+    over S = R/I, before any work.  The ranks are then taken over
+    `artinian_reduction(scheme)`, R/I cut by a regular sequence of linear
+    forms, which has the same b_{p,q} and smaller (often far smaller)
+    graded pieces; b_{p,q} = 0 there for p above its number of variables,
+    as it is for S by Auslander-Buchsbaum."""
     if q < 0 or p < 0:
         return 0
-    src = koszul_space_dim(scheme, p, q)
+    _check_budget(scheme, p, q, entry_budget)
+    _check_budget(scheme, p + 1, q - 1, entry_budget)
+    cut = artinian_reduction(scheme)
     b = (
-        src
-        - koszul_rank(scheme, p, q, entry_budget)
-        - koszul_rank(scheme, p + 1, q - 1, entry_budget)
+        koszul_space_dim(cut, p, q)
+        - koszul_rank(cut, p, q, entry_budget)
+        - koszul_rank(cut, p + 1, q - 1, entry_budget)
     )
     if b < 0:
         raise ConsistencyError(
@@ -313,14 +383,20 @@ class KoszulCocycle:
 
     def is_cocycle(self, entry_budget: int | None = None) -> bool:
         """Is delta_{p,1} of this tensor zero?  Summed exactly in Python
-        ints over the columns of delta at the nonzero coefficients."""
-        columns = _koszul_columns(self.scheme, self.p, 1, entry_budget).rows
-        image: dict[int, int] = {}
-        for idx, c in self.to_vector().items():
-            for r, v in columns[idx].items():
-                image[r] = image.get(r, 0) + c * v
-        char = self.scheme.char
-        return not any(v % char for v in image.values())
+        ints over the terms sign * c * NF(x_i * x_var) of its nonzero
+        coefficients only, after the budget check of delta_{p,1}."""
+        scheme = self.scheme
+        _check_budget(scheme, self.p, 1, entry_budget)
+        nv = scheme.ring.nvars
+        image: dict[tuple, int] = {}
+        for (wedge, var), c in self.coeffs.items():
+            x = tuple(int(v == var) for v in range(nv))
+            for k, i in enumerate(wedge):
+                sc = removal_sign(k) * c
+                rest = wedge[:k] + wedge[k + 1 :]
+                for m, v in scheme.ideal.nf_times_var(x, i).items():
+                    image[rest, m] = image.get((rest, m), 0) + sc * v
+        return not any(v % scheme.char for v in image.values())
 
     def add(self, other: "KoszulCocycle") -> "KoszulCocycle":
         if other.scheme is not self.scheme or other.p != self.p:

@@ -1196,6 +1196,7 @@ class EmbeddedScheme:
         self.labels = dict(labels or {})
         self._parametrization = None  # set by builders for point sampling
         self._koszul_ranks: dict = {}
+        self._reduction = None  # koszul.artinian_reduction, when first asked
 
     def change_coordinates(self, matrix, labels: dict | None = None) -> "EmbeddedScheme":
         """The scheme under `Ideal.change_coordinates`.  An invertible linear

@@ -15,7 +15,8 @@ as it completes, and fails its assert otherwise.  The checks:
    inclusion at every individual point.
 4. membership route agreement at >= 25 points per instance, on and off
    the syzygy scheme.
-5. Koszul route vs minimal-free-resolution oracle on every corpus ideal.
+5. Koszul route vs minimal-free-resolution oracle on every corpus ideal,
+   and on two skew lines (not Cohen-Macaulay) at F_32003 and F_2.
 6. small Green-type instances: canonical genus-4/5 grids and the
    trigonal hull containment for every strand class.
 7. the 2-nodal-quintic pair: strand equality, the vanishing transfer,
@@ -46,6 +47,7 @@ from syzkit.builders import (
     scroll_types,
 )
 from syzkit.cli import main
+from syzkit.polyring import EmbeddedScheme, Ideal, PolyRing
 from syzkit.koszul import (
     KoszulCocycle,
     betti_table,
@@ -115,33 +117,43 @@ def _corpus(char: int):
     yield "nodal-d", model_image(two_node, adjoint_system(two_node, 2, through=[0]))
 
 
+def _strand_grid(name: str, scheme, char: int) -> dict:
+    """{(p, q): value} with the Koszul and resolution routes asserted
+    equal over the window covering the whole resolution."""
+    res = minimal_free_resolution(scheme.ideal)
+    assert not res.truncated, f"{name}: resolution truncated, not a valid oracle"
+    gb = res.graded_betti()
+    pmax = res.length()
+    qmax = max(d - s for (s, d) in gb)
+    table = betti_table(scheme, pmax, qmax)
+    grid = {}
+    for p in range(pmax + 1):
+        for q in range(qmax + 1):
+            koszul_value = table.entry(p, q)
+            resolution_value = res.strand_entry(p, q)
+            assert koszul_value == resolution_value, (
+                f"{name} at F_{char}: b_{{{p},{q}}} Koszul {koszul_value} "
+                f"!= resolution {resolution_value}"
+            )
+            if koszul_value:
+                grid[(p, q)] = koszul_value
+    return grid
+
+
 def _strand_grids(char: int) -> dict:
-    """{instance: {(p, q): value}} with the Koszul and resolution routes
-    asserted equal over the window covering the whole resolution."""
-    if char in _STRAND_GRIDS:
-        return _STRAND_GRIDS[char]
-    grids = {}
-    for name, scheme in _corpus(char):
-        res = minimal_free_resolution(scheme.ideal)
-        assert not res.truncated, f"{name}: resolution truncated, not a valid oracle"
-        gb = res.graded_betti()
-        pmax = res.length()
-        qmax = max(d - s for (s, d) in gb)
-        table = betti_table(scheme, pmax, qmax)
-        grid = {}
-        for p in range(pmax + 1):
-            for q in range(qmax + 1):
-                koszul_value = table.entry(p, q)
-                resolution_value = res.strand_entry(p, q)
-                assert koszul_value == resolution_value, (
-                    f"{name} at F_{char}: b_{{{p},{q}}} Koszul {koszul_value} "
-                    f"!= resolution {resolution_value}"
-                )
-                if koszul_value:
-                    grid[(p, q)] = koszul_value
-        grids[name] = grid
-    _STRAND_GRIDS[char] = grids
-    return grids
+    """{instance: grid} over the corpus, each as `_strand_grid`."""
+    if char not in _STRAND_GRIDS:
+        _STRAND_GRIDS[char] = {
+            name: _strand_grid(name, scheme, char) for name, scheme in _corpus(char)
+        }
+    return _STRAND_GRIDS[char]
+
+
+def _skew_lines(char: int) -> EmbeddedScheme:
+    """Two skew lines in P^3: not Cohen-Macaulay (depth 1, dimension 2),
+    so the Koszul route cuts its ring by one linear form only."""
+    ring = PolyRing(char, ("x0", "x1", "x2", "x3"))
+    return EmbeddedScheme(Ideal(ring, ["x0*x2", "x0*x3", "x1*x2", "x1*x3"]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +220,10 @@ def test_criterion_5_resolution_oracle(capsys):
     # spot-frozen values: the twisted cubic and the genus-5 canonical CI
     ok = ok and grids["scroll-3"] == {(0, 0): 1, (1, 1): 3, (2, 1): 2}
     ok = ok and grids["genus5-ci"] == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
+    # a ring that is not Cohen-Macaulay, at a large and the smallest prime
+    for char in (DEFAULT_CHAR, 2):
+        skew = _strand_grid("skew-lines", _skew_lines(char), char)
+        ok = ok and skew == {(0, 0): 1, (1, 1): 4, (2, 1): 4, (3, 1): 1}
     _finish(capsys, 5, "Koszul vs resolution oracle", ok, t0, 600)
 
 

@@ -440,6 +440,15 @@ def test_bad_inputs_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_betti_budget_counts_the_uncut_matrix(capsys):
+    # the ranks run on the Artinian reduction, but the budget still counts
+    # delta over the coordinate ring itself
+    assert main(["betti", "scroll 2 2 2"]) == 2
+    err = capsys.readouterr().err
+    assert "delta_(3,3) has 4860 x 5880 = 28576800 entries" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("char", [2, 3, 2147483647])
 def test_betti_grid_same_at_edge_primes(char, capsys):
     def grid(p):

@@ -15,6 +15,7 @@ from syzkit.exactalg import SparseRows, rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
+    artinian_reduction,
     betti_table,
     certified_regularity,
     cocycle_class_is_zero,
@@ -193,6 +194,52 @@ def test_cocycle_check_is_exact_at_the_largest_prime():
     key = next(iter(big.coeffs))
     broken = KoszulCocycle(scheme, 2, {**big.coeffs, key: big.coeffs[key] + 1})
     assert not broken.is_cocycle()
+
+
+def _column_sum_is_zero(cocycle):
+    """delta_{p,1} of the tensor, summed over the full columns of delta."""
+    columns = koszul._koszul_columns(cocycle.scheme, cocycle.p, 1).rows
+    image: dict = {}
+    for idx, c in cocycle.to_vector().items():
+        for r, v in columns[idx].items():
+            image[r] = image.get(r, 0) + c * v
+    return not any(v % cocycle.scheme.char for v in image.values())
+
+
+_COCYCLE_SCHEMES = {
+    "rnc 3": lambda: rational_normal_curve(3),
+    "ci 2 3": lambda: complete_intersection((2, 3), seed=0),
+    "scroll 2 1 @3": lambda: scroll((2, 1), 3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(_COCYCLE_SCHEMES)),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_is_cocycle_matches_the_full_columns(name, p, closed, seed):
+    scheme = _COCYCLE_SCHEMES[name]()
+    char = scheme.char
+    rng = random.Random(seed)
+    if closed:
+        # classes of the strand plus coboundaries, with random coefficients
+        rows = [c.to_vector() for c in k_p1_cocycle_basis(scheme, p)]
+        rows += coboundary_rows(scheme, p).rows
+        vec: dict = {}
+        for row in rows:
+            a = rng.randrange(char)
+            for k, v in row.items():
+                vec[k] = (vec.get(k, 0) + a * v) % char
+    else:
+        width = len(exterior_basis(scheme.ring.nvars, p)) * scheme.ring.nvars
+        vec = {rng.randrange(width): rng.randrange(1, char) for _ in range(rng.randint(1, 6))}
+    tensor = KoszulCocycle.from_vector(scheme, p, vec)
+    assert tensor.is_cocycle() == _column_sum_is_zero(tensor)
+    if closed:
+        assert tensor.is_cocycle()
 
 
 def test_cocycle_vector_round_trip(tc):
@@ -462,7 +509,9 @@ def test_oracle_reads_no_koszul_code(tc, ci23):
         raise AssertionError("the resolution oracle called the Koszul route")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("koszul_rank", "_koszul_columns", "koszul_matrix", "koszul_dim"):
+        for name in (
+            "koszul_rank", "_koszul_columns", "koszul_matrix", "koszul_dim", "artinian_reduction"
+        ):
             mp.setattr(koszul, name, refuse)
         assert minimal_free_resolution(tc.ideal).modules == [[0], [2, 2, 2], [3, 3]]
         assert minimal_free_resolution(ci23.ideal).modules == [[0], [2, 3], [5]]
@@ -516,6 +565,88 @@ def test_oracle_checks_catch_a_bad_generator(ci23, monkeypatch, width, row, mess
     monkeypatch.setattr(koszul, "complement_basis", with_bad_row)
     with pytest.raises(ConsistencyError, match=message):
         minimal_free_resolution(ci23.ideal)
+
+
+# -- the Artinian reduction ------------------------------------------------------
+
+
+def _table_on_the_ring_itself(ideal, pmax, qmax):
+    """The Betti table with no reduction: every rank over R/I."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(koszul, "artinian_reduction", lambda scheme: scheme)
+        return betti_table(EmbeddedScheme(ideal), pmax, qmax)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["forms", "monomials"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_reduction_keeps_the_betti_table(nvars, p, kind, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        monos = ring.monomials_of_degree(rng.choice((2, 3)))
+        if kind == "monomials":
+            gens.append(ring.monomial(rng.choice(monos)))
+        else:
+            picks = rng.sample(monos, min(rng.randint(1, 4), len(monos)))
+            gens.append(ring.from_terms({m: rng.randrange(1, p) for m in picks}))
+    ideal = Ideal(ring, gens)
+    scheme = EmbeddedScheme(Ideal(ring, gens))
+    qmax = 4 if nvars <= 4 else 3
+    assert betti_table(scheme, nvars, qmax).entries == (
+        _table_on_the_ring_itself(ideal, nvars, qmax).entries
+    )
+    cut = artinian_reduction(scheme)
+    krull = scheme.hilbert_data().dimension + 1
+    assert nvars - min(krull, nvars - 1) <= cut.ring.nvars <= nvars
+    assert cut.ideal.hilbert_series_numerator() == scheme.ideal.hilbert_series_numerator()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rational_normal_curve(4),
+        lambda: scroll((2, 1)),
+        lambda: complete_intersection((2, 3), seed=0),
+        lambda: complete_intersection((2, 2, 2), seed=0),
+    ],
+    ids=["rnc-4", "scroll-2-1", "ci-2-3", "ci-2-2-2"],
+)
+def test_cohen_macaulay_rings_become_artinian(build):
+    scheme = build()
+    cut = artinian_reduction(scheme)
+    assert cut is artinian_reduction(scheme)  # cached on the scheme
+    krull = scheme.hilbert_data().dimension + 1
+    assert cut.ring.nvars == scheme.ring.nvars - krull
+    assert cut.ideal.hilbert_series_numerator() == scheme.ideal.hilbert_series_numerator()
+    assert cut.hilbert_data().dimension == -1
+
+
+@pytest.mark.parametrize("char", [2, 32003])
+def test_skew_lines_are_cut_by_one_form(char):
+    # (x0, x1) cap (x2, x3): Krull dimension 2 but depth 1, so the second
+    # form always fails and the table is that of the ring cut once
+    ring = PolyRing(char, ("x0", "x1", "x2", "x3"))
+    ideal = Ideal(ring, ["x0*x2", "x0*x3", "x1*x2", "x1*x3"])
+    scheme = EmbeddedScheme(ideal)
+    assert scheme.hilbert_data().dimension + 1 == 2
+    assert artinian_reduction(scheme).ring.nvars == 3
+    table = betti_table(scheme, 4, 3)
+    assert table.entries == {(0, 0): 1, (1, 1): 4, (2, 1): 4, (3, 1): 1}
+    assert table.entries == _table_on_the_ring_itself(ideal, 4, 3).entries
+
+
+def test_zero_ideal_keeps_one_variable():
+    ring = PolyRing(32003, ("x0", "x1", "x2"))
+    scheme = EmbeddedScheme(Ideal(ring, []))
+    cut = artinian_reduction(scheme)
+    assert cut.ring.nvars == 1 and not cut.ideal.gens
+    assert betti_table(scheme, 3, 3).entries == {(0, 0): 1}
 
 
 def test_koszul_space_dim_edges(tc):
