@@ -68,7 +68,6 @@ from .koszul import (
     betti_table,
     k_p1_cocycle_basis,
     koszul_dim,
-    koszul_space_dim,
     linear_strand_dim_from_ideal,
     minimal_free_resolution,
 )
@@ -126,7 +125,7 @@ class RunContext:
     char: int
     seed: int
     json_out: bool
-    entry_budget: int
+    entry_budget: int | None
     t0: float = field(default_factory=time.time)
     inputs: list = field(default_factory=list)
     assumptions: set = field(default_factory=set)
@@ -185,9 +184,7 @@ def _context(args, argv) -> RunContext:
         char=char,
         seed=args.seed,
         json_out=args.json,
-        entry_budget=(
-            args.entry_budget if args.entry_budget is not None else DEFAULT_ENTRY_BUDGET
-        ),
+        entry_budget=args.entry_budget,
     )
 
 
@@ -763,19 +760,11 @@ def _scroll_case(ctx: RunContext, e: tuple) -> CaseResult:
     warnings = []
     for q in (1, 2):
         for p in range(1, f + 1):
-            # the rank formula for b_{p,q} needs delta_{p,q} and delta_{p+1,q-1}
-            cost = max(
-                koszul_space_dim(scheme, pp - 1, qq + 1) * koszul_space_dim(scheme, pp, qq)
-                for pp, qq in ((p, q), (p + 1, q - 1))
-            )
-            got = None
-            if cost > ctx.entry_budget:
-                warnings.append(
-                    f"entry ({p},{q}) skipped: needs a {cost}-entry matrix, "
-                    f"budget {ctx.entry_budget}"
-                )
-            else:
+            try:
                 got = koszul_dim(scheme, p, q, ctx.entry_budget)
+            except BudgetError as exc:
+                got = None
+                warnings.append(f"entry ({p},{q}) skipped: {exc}")
             computed[f"q{q}"].append(got)
     if len(warnings) == 2 * f:
         return CaseResult("SKIP", "every entry exceeded the budget", expected, computed, warnings)
@@ -1348,7 +1337,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
     common.add_argument("--entry-budget", type=_at_least(1), default=None, metavar="N",
-                        help=f"max entries of any Koszul matrix (default {DEFAULT_ENTRY_BUDGET})")
+                        help="max entries of each Koszul matrix as it is built: on the Artinian "
+                        "reduction for Betti numbers, on the coordinate ring for cocycle "
+                        f"bases (default {DEFAULT_ENTRY_BUDGET})")
 
     classsel = argparse.ArgumentParser(add_help=False)
     classsel.add_argument("--p", type=_at_least(0), default=None,

@@ -32,6 +32,12 @@ fails, down to k = 0, which is S.
 `koszul_dim`, and so `betti_table`, reads the reduction; `koszul_rank`,
 the cocycles and the two independent routes read S.
 
+The entry budget counts each delta as it is built, rows times columns
+over the ring it is built on: the reduction for Betti numbers, S for
+cocycle bases and coboundaries.  `_koszul_columns` checks it before the
+assembly, and `koszul_rank` before it reads its cache, so a budgeted run
+fails the same way whether or not the cache is warm.
+
 delta is assembled in one place, column by column, as sparse dicts.  A
 rank is the rank of the transpose: the forward elimination pass alone,
 run on those sparse columns, so no rank makes delta or an echelon form
@@ -91,14 +97,14 @@ def _check_budget(
     scheme: EmbeddedScheme, p: int, q: int, entry_budget: int | None
 ) -> tuple[int, int]:
     """(rows, cols) of delta_{p,q}; BudgetError when it has more entries
-    than the budget allows."""
+    than the budget allows (DEFAULT_ENTRY_BUDGET when None)."""
     rows = koszul_space_dim(scheme, p - 1, q + 1)
     cols = koszul_space_dim(scheme, p, q)
     budget = DEFAULT_ENTRY_BUDGET if entry_budget is None else entry_budget
     if rows * cols > budget:
         raise BudgetError(
-            f"koszul matrix delta_({p},{q}) has {rows} x {cols} = {rows * cols} "
-            f"entries, over the budget of {budget}"
+            f"koszul matrix delta_({p},{q}) in {scheme.ring.nvars} variables has "
+            f"{rows} x {cols} = {rows * cols} entries, over the budget of {budget}"
         )
     return rows, cols
 
@@ -172,8 +178,7 @@ def koszul_rank(
 
     Computed as the rank of the transpose by the forward pass alone, on
     the sparse columns: neither delta nor an echelon form is made dense.
-    The budget is enforced before the cache is consulted, so a budgeted run
-    fails the same way whether or not earlier calls warmed the cache."""
+    The budget is checked before the cache is read."""
     _check_budget(scheme, p, q, entry_budget)
     got = scheme._koszul_ranks.get((p, q))
     if got is None:
@@ -233,16 +238,14 @@ def koszul_dim(
 ) -> int:
     """b_{p,q} = dim of the (p,q) Koszul cohomology of the coordinate ring.
 
-    The budget is checked on the shapes of delta_{p,q} and delta_{p+1,q-1}
-    over S = R/I, before any work.  The ranks are then taken over
-    `artinian_reduction(scheme)`, R/I cut by a regular sequence of linear
-    forms, which has the same b_{p,q} and smaller (often far smaller)
-    graded pieces; b_{p,q} = 0 there for p above its number of variables,
-    as it is for S by Auslander-Buchsbaum."""
+    The ranks are taken over `artinian_reduction(scheme)`, R/I cut by a
+    regular sequence of linear forms, which has the same b_{p,q} and
+    smaller (often far smaller) graded pieces; b_{p,q} = 0 there for p
+    above its number of variables, as it is for S by Auslander-Buchsbaum.
+    The budget counts delta_{p,q} and delta_{p+1,q-1} on that reduction,
+    the matrices that are built."""
     if q < 0 or p < 0:
         return 0
-    _check_budget(scheme, p, q, entry_budget)
-    _check_budget(scheme, p + 1, q - 1, entry_budget)
     cut = artinian_reduction(scheme)
     b = (
         koszul_space_dim(cut, p, q)
@@ -381,12 +384,11 @@ class KoszulCocycle:
                 coeffs[(w, vars_of[idx % len(monos)])] = c
         return cls(scheme, p, coeffs)
 
-    def is_cocycle(self, entry_budget: int | None = None) -> bool:
+    def is_cocycle(self) -> bool:
         """Is delta_{p,1} of this tensor zero?  Summed exactly in Python
         ints over the terms sign * c * NF(x_i * x_var) of its nonzero
-        coefficients only, after the budget check of delta_{p,1}."""
+        coefficients only; no matrix is built, so no budget applies."""
         scheme = self.scheme
-        _check_budget(scheme, self.p, 1, entry_budget)
         nv = scheme.ring.nvars
         image: dict[tuple, int] = {}
         for (wedge, var), c in self.coeffs.items():

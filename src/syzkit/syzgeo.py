@@ -230,7 +230,6 @@ class ProjectionContext:
     source: EmbeddedScheme
     point: ProjectivePoint
     matrix: list
-    matrix_inv: list
     moved: EmbeddedScheme
     projected: EmbeddedScheme
 
@@ -245,16 +244,13 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
     if scheme.contains(pt.coords) and scheme.hilbert_data().dimension == 0:
         raise InputError("cannot project a zero-dimensional scheme from itself")
     mat = move_point_matrix(pt)
-    inv = matrix_inverse(mat, scheme.char)
     moved = scheme.change_coordinates(mat, {**scheme.labels, "moved-point": "last-coordinate"})
     n = scheme.ring.nvars - 1
     # the elimination ideal carries its DRL basis; the scheme checks homogeneity
     projected = EmbeddedScheme(
         moved.ideal.eliminate((n,)), labels={**scheme.labels, "projected-from": "point"}
     )
-    return ProjectionContext(
-        source=scheme, point=pt, matrix=mat, matrix_inv=inv, moved=moved, projected=projected
-    )
+    return ProjectionContext(source=scheme, point=pt, matrix=mat, moved=moved, projected=projected)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,7 @@ def reconstruct_from_projections(
         # the extended ring has the same names as the source ring
         cone_src = Ideal(scheme.ring, [
             Polynomial(scheme.ring, dict(g.terms)) for g in cone_moved.gens
-        ]).change_coordinates(projected.context.matrix_inv)
+        ]).change_coordinates(matrix_inverse(projected.context.matrix, char))
         cones.append((pt, cone_src, projected.cocycle))
         gens_sum.extend(cone_src.gens)
     result_ideal = Ideal(scheme.ring, gens_sum)

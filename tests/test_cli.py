@@ -24,6 +24,7 @@ import jsonschema
 import pytest
 
 import syzkit.cli as cli
+from syzkit.builders import en_betti
 from syzkit.cli import main
 
 TC_TEXT = """\
@@ -157,11 +158,11 @@ def test_case_filter_replays_the_same_draw(capsys):
 def test_replay_command_reruns_the_case(capsys):
     # under a small budget the case skips entries; its replay line must
     # carry the budget, so that the rerun skips the same ones
-    argv = ["verify", "scroll-betti", "--variety", "scroll 1 1", "--entry-budget", "2000"]
+    argv = ["verify", "scroll-betti", "--variety", "rnc 4", "--entry-budget", "10"]
     rc, full = run_json(capsys, argv + ["--json"])
     assert rc == 0
     (case,) = full["payload"]["cases"]
-    assert case["warnings"]
+    assert case["warnings"][0].startswith("entry (1,1) skipped: koszul matrix")
     syz, *replay = shlex.split(case["replay"])
     assert syz == "syz"
     rc, single = run_json(capsys, replay + ["--json"])
@@ -218,11 +219,21 @@ def test_verify_json_failure_payload(monkeypatch, capsys):
 
 
 def test_entry_budget_forces_deterministic_skip(capsys):
-    rc = main(["verify", "scroll-betti", "--variety", "rnc 4", "--entry-budget", "10"])
+    # at F_2 the cut of this scroll keeps a variable too many, so every
+    # matrix it builds has entries
+    argv = ["verify", "scroll-betti", "--variety", "scroll 2 2", "--field-char", "2"]
+    rc = main(argv + ["--entry-budget", "1"])
     out = capsys.readouterr().out
     assert rc == 0  # skipped, not failed
     assert "SKIP" in out
     assert "budget" in out
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_every_suite_under_a_tiny_budget_skips_or_refuses(suite, capsys):
+    rc = main(["verify", suite, "--entry-budget", "1"])
+    assert rc in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_fixed_corpus_suites_reject_variety():
@@ -440,13 +451,22 @@ def test_bad_inputs_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_betti_budget_counts_the_uncut_matrix(capsys):
-    # the ranks run on the Artinian reduction, but the budget still counts
-    # delta over the coordinate ring itself
-    assert main(["betti", "scroll 2 2 2"]) == 2
+def test_betti_budget_counts_the_cut_matrix(capsys):
+    # the budget counts delta on the Artinian reduction, where the ranks
+    # run: 5 of the 9 variables of this scroll are left
+    assert main(["betti", "scroll 2 2 2", "--entry-budget", "100"]) == 2
     err = capsys.readouterr().err
-    assert "delta_(3,3) has 4860 x 5880 = 28576800 entries" in err
+    assert "delta_(2,0) in 5 variables has 25 x 10 = 250 entries" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("recipe", ["scroll 2 2 2", "rnc 10", "scroll 3 3 2"])
+def test_large_scrolls_pass_the_default_budget(recipe, capsys):
+    rc, report = run_json(capsys, ["betti", recipe, "--json"])
+    assert rc == 0
+    f = sum(int(v) for v in recipe.split()[1:])
+    row1 = {e["p"]: e["value"] for e in report["payload"]["table"]["entries"] if e["q"] == 1}
+    assert row1 and all(v == en_betti(f, p) for p, v in row1.items())
 
 
 @pytest.mark.parametrize("char", [2, 3, 2147483647])

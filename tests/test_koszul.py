@@ -161,9 +161,12 @@ def test_strand_matches_ideal_route(tc, ci23):
 def test_budget_error(tc):
     with pytest.raises(BudgetError) as err:
         koszul_matrix(tc, 1, 1, entry_budget=10)
-    assert "7 x 16" in str(err.value)
-    with pytest.raises(BudgetError):
-        betti_table(tc, 3, 2, entry_budget=10)
+    assert "in 4 variables has 7 x 16" in str(err.value)
+    # the largest delta built on the cut of the twisted cubic has 4 entries
+    betti_table(tc, 3, 2, entry_budget=4)
+    with pytest.raises(BudgetError) as err:
+        betti_table(tc, 3, 2, entry_budget=3)
+    assert "in 2 variables" in str(err.value)
 
 
 def test_cocycle_basis_twisted_cubic(tc):
