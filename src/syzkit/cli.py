@@ -39,7 +39,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from numbers import Integral
 
 from . import __version__
@@ -1328,7 +1328,12 @@ def _at_least(minimum: int):
     return count
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `syz` parser, built once per process and shared by every `main`
+    call.  Reuse is safe: parsing leaves the parser as it was, every
+    default is immutable, and `--point` appends to a default of None, so
+    each parse starts its own list."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field-char", type=int, default=None, metavar="P",
                         help=f"prime field characteristic (default {DEFAULT_CHAR})")

@@ -27,8 +27,10 @@ intersection via the t-trick); everything else in the package is graded.
 - An Ideal caches its reduced GB, with the lead terms and keyed tails, in
   one entry per order.  Every GB lives there, eliminations included, and
   that entry is the only caller of `buchberger`; an elimination also fills
-  its result's DRL entry.  Colons I : x_i^infinity read the GB in
-  degrevlex with x_i last (Bayer-Stillman), in the same ring.
+  its result's DRL entry, and a coordinate change that keeps the DRL leads
+  derives its result's DRL entry from the source basis.  Colons
+  I : x_i^infinity read the GB in degrevlex with x_i last
+  (Bayer-Stillman), in the same ring.
 """
 
 from __future__ import annotations
@@ -151,6 +153,48 @@ def _mul_dict(f: dict, g: dict, p: int) -> dict:
                 out[m] = v
             elif m in out:
                 del out[m]
+    return out
+
+
+def _linear_images(a: list[list[int]]) -> tuple[list, dict]:
+    """The substitution x_i -> sum_j a[i][j] x_j as (forms, images):
+    forms[i] lists the (j, a[i][j]) with a[i][j] nonzero, and `images` is
+    the table of monomial images for `_substitute`, holding only 1 -> 1."""
+    one = (0,) * len(a)
+    forms = [[(j, c) for j, c in enumerate(row) if c] for row in a]
+    return forms, {one: {one: 1}}
+
+
+def _substitute(terms: dict, forms: list, images: dict, p: int) -> dict:
+    """The image of a polynomial under x_i -> forms[i] (see _linear_images).
+
+    The image of a monomial m is the image of m / x_i times forms[i], where
+    x_i is the last variable of m.  Images are read from `images` and each
+    one computed is added to it, so polynomials that share the table share
+    the work."""
+    out: dict = {}
+    for m, c in terms.items():
+        img = images.get(m)
+        if img is None:
+            # strip last variables down to a monomial whose image is known,
+            # then multiply the forms back on
+            chain = []
+            u = m
+            while img is None:
+                i = len(u) - 1
+                while not u[i]:
+                    i -= 1
+                chain.append((u, forms[i]))
+                u = u[:i] + (u[i] - 1,) + u[i + 1 :]
+                img = images.get(u)
+            for u, form in reversed(chain):
+                acc: dict = {}
+                for w, cw in img.items():
+                    for j, v in form:
+                        wj = w[:j] + (w[j] + 1,) + w[j + 1 :]
+                        acc[wj] = acc.get(wj, 0) + cw * v
+                img = images[u] = {w: v % p for w, v in acc.items() if v % p}
+        _add_into(out, img, c, p)
     return out
 
 
@@ -478,40 +522,18 @@ class Polynomial:
         return total
 
     def substitute_linear(self, matrix) -> "Polynomial":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j."""
+        """Substitute x_i -> sum_j matrix[i][j] * x_j.
+
+        Each monomial's image is built from the image of a smaller one by
+        `_substitute`; `Ideal.change_coordinates` shares one such table of
+        images between all the polynomials it moves.  When the matrix sends
+        each x_i into span(x_i, ..., x_n) with matrix[i][i] != 0, the image
+        of a monomial m is a nonzero multiple of m plus monomials below m in
+        degrevlex, since moving a factor x_i to a later x_j lowers a
+        monomial: the substitution keeps every lead."""
         ring = self.ring
-        p = ring.char
-        a = _square_rows(matrix, ring.nvars, p, "substitution matrix")
-        lin = []
-        for i in range(ring.nvars):
-            row = {}
-            for j in range(ring.nvars):
-                c = a[i][j]
-                if c:
-                    e = [0] * ring.nvars
-                    e[j] = 1
-                    row[tuple(e)] = c
-            lin.append(row)
-        # cache powers of each linear form as needed
-        powers: dict[tuple[int, int], dict] = {}
-
-        def lin_pow(i, k):
-            if k == 0:
-                return {(0,) * ring.nvars: 1}
-            got = powers.get((i, k))
-            if got is None:
-                got = _mul_dict(lin_pow(i, k - 1), lin[i], p)
-                powers[(i, k)] = got
-            return got
-
-        out: dict = {}
-        for m, c in self.terms.items():
-            term = {(0,) * ring.nvars: c}
-            for i, e in enumerate(m):
-                if e:
-                    term = _mul_dict(term, lin_pow(i, e), p)
-            _add_into(out, term, 1, p)
-        return Polynomial(ring, out)
+        a = _square_rows(matrix, ring.nvars, ring.char, "substitution matrix")
+        return Polynomial(ring, _substitute(self.terms, *_linear_images(a), ring.char))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +621,11 @@ def _normal_form_dict(h: dict, reducers: list, order, p: int) -> dict:
     return {m: c for m, _, c in _reduce(*state, reducers, p)}
 
 
-def buchberger(gens: list[dict], order, p: int, hilbert: list[int] | None = None) -> list[dict]:
-    """Reduced Groebner basis (list of monic dicts, sorted by lead term).
+def buchberger(
+    gens: list[dict], order, p: int, hilbert: list[int] | None = None
+) -> ReducedBasis:
+    """Reduced Groebner basis: a list of monic dicts sorted by lead term,
+    which also hands back their reducer tuples (`ReducedBasis`).
 
     Buchberger's algorithm with the Gebauer-Moeller pair update: S-pairs
     are taken by least (degree of lcm, order key) and reduced on a heap of
@@ -615,7 +640,12 @@ def buchberger(gens: list[dict], order, p: int, hilbert: list[int] | None = None
     has the Hilbert function of I in any order, so the count is at least
     HF(d); once it equals HF(d), the pairs left in degree d reduce to zero
     and are dropped.  Targets must be exact: `Ideal._groebner_entry` takes
-    them from cached DRL leads or across a change of coordinates.
+    them from cached DRL leads or across a change of coordinates, which
+    keeps the Hilbert function.  A change that sends each x_i into
+    span(x_i, ..., x_n) keeps every DRL lead as well, since moving a factor
+    x_i to a later x_j lowers a monomial in degrevlex; that moved DRL basis
+    is derived from the source basis without this function (see
+    `Ideal.change_coordinates`).
     """
     inputs = []
     for g in gens:
@@ -711,14 +741,29 @@ def buchberger(gens: list[dict], order, p: int, hilbert: list[int] | None = None
         _add_shifted(work, monos, heap, rj, tuple(map(sub, lcm, rj[0])), key_lcm - rj[2], p - 1, p)
         add(_reduce(work, monos, heap, reducers, p))
 
-    # the active elements are a minimal basis; reduce their tails, smallest
-    # lead first, so each tail meets only reducers already reduced (a tail
-    # term lies below the lead, so only smaller leads can divide it)
+    # the active elements are a minimal basis
+    return _tail_reduce(reducers, p)
+
+
+class ReducedBasis(list):
+    """A reduced Groebner basis: monic dicts sorted by lead, with their
+    reducer tuples, in the same order, as `reducers`."""
+
+    __slots__ = ("reducers",)
+
+
+def _tail_reduce(minimal: list, p: int) -> ReducedBasis:
+    """The reduced basis from the reducer tuples of a minimal Groebner basis
+    (monic, no lead divides another).  Tails are reduced smallest lead
+    first, so each tail meets only reducers already reduced: a tail term
+    lies below its lead, so only smaller leads can divide it."""
     done: list[tuple] = []
-    for r in sorted(reducers, key=lambda r: r[2]):
+    for r in sorted(minimal, key=lambda r: r[2]):
         rem = _reduce(*_pending(r[4]), done, p)
         done.append(_keyed_reducer([(r[0], r[2], 1)] + rem, p))
-    return [{r[0]: 1} | {m: c for m, _, c in r[4]} for r in done]
+    basis = ReducedBasis({r[0]: 1} | {m: c for m, _, c in r[4]} for r in done)
+    basis.reducers = done
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +906,9 @@ class Ideal:
         self._hilbert: HilbertData | None = None
         # the Hilbert numerator, from the DRL leads or a change of coordinates
         self._numerator: list[int] | None = None
+        # (source DRL basis, forms, images) of a change of coordinates that
+        # keeps the DRL leads, until the DRL basis is first read
+        self._moved_from: tuple | None = None
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
@@ -879,13 +927,23 @@ class Ideal:
         got = self._gb.get(order.name)
         if got is None:
             p = self.ring.char
-            # the Hilbert target only when it is exact: from the cached DRL
-            # leads or carried over `change_coordinates`, for homogeneous gens
-            known = self._numerator is not None or DRL.name in self._gb
-            homogeneous = all(g.is_homogeneous() for g in self.gens)
-            target = self.hilbert_series_numerator() if known and homogeneous else None
-            gb = buchberger([g.terms for g in self.gens], order, p, target)
-            got = (gb, [_reducer(g, order, p) for g in gb])
+            if order.name == DRL.name and self._moved_from is not None:
+                # see change_coordinates: the substituted source basis is a
+                # Groebner basis with the same leads
+                basis, forms, images = self._moved_from
+                self._moved_from = None
+                gb = _tail_reduce(
+                    [_reducer(_substitute(g, forms, images, p), DRL, p) for g in basis], p
+                )
+            else:
+                # the Hilbert target only when it is exact: from the cached
+                # DRL leads or carried over `change_coordinates`, for
+                # homogeneous gens
+                known = self._numerator is not None or DRL.name in self._gb
+                homogeneous = all(g.is_homogeneous() for g in self.gens)
+                target = self.hilbert_series_numerator() if known and homogeneous else None
+                gb = buchberger([g.terms for g in self.gens], order, p, target)
+            got = (gb, gb.reducers)
             self._gb[order.name] = got
         return got
 
@@ -1102,10 +1160,16 @@ class Ideal:
 
         Computed as the intersection of the single-variable saturations
         I : x_i^infty; if every one of them is I itself, I is already
-        saturated and is returned as-is."""
-        cols = [self.colon_var_saturation(i) for i in range(self.ring.nvars)]
-        if all(c is self for c in cols):
+        saturated and is returned as-is.  The last one, I : x_n^infty,
+        reads the DRL basis, which is usually cached, and is taken first.
+        If it is I, then x_n is a nonzerodivisor on R/I and I is saturated
+        (f * m^k in I gives x_n^k * f in I, so f is in I): I is returned
+        without the bases of the other colons."""
+        n = self.ring.nvars
+        last = self.colon_var_saturation(n - 1)
+        if last is self:
             return self
+        cols = [self.colon_var_saturation(i) for i in range(n - 1)] + [last]
         out = cols[0]
         for c in cols[1:]:
             out = out.intersect(c)
@@ -1128,29 +1192,58 @@ class Ideal:
 
         The block order compares the kept variables by degrevlex, and the
         block basis is sorted by lead, so its elements free of `drop` are
-        the reduced DRL basis of the result, in order, and are cached so."""
+        the reduced DRL basis of the result, in order, and are cached so.
+        A term with a dropped variable ranks above every term without one,
+        so an element is free of `drop` when its lead is; and the block key
+        of a monomial free of `drop` is its DRL key in the smaller ring, so
+        the reducer tuples carry over with their monomials restricted."""
         order = BlockOrder(drop, self.ring.nvars)
         ring2 = PolyRing(self.ring.field, tuple(self.ring.names[i] for i in order.rest))
-        kept = [
-            {tuple(m[i] for i in order.rest): c for m, c in g.items()}
-            for g in self.groebner(order)
-            if not any(m[i] for m in g for i in order.first)
+
+        def small(m: Mono) -> Mono:
+            return tuple(m[i] for i in order.rest)
+
+        reducers = [
+            (small(lead), _divmask(small(lead)), key, excess, [(small(m), k, c) for m, k, c in tail])
+            for lead, _, key, excess, tail in self._groebner_entry(order)[1]
+            if not any(lead[i] for i in order.first)
         ]
+        kept = [{r[0]: 1} | {m: c for m, _, c in r[4]} for r in reducers]
         out = Ideal(ring2, [Polynomial(ring2, dict(g)) for g in kept], require_homogeneous=False)
-        out._gb[DRL.name] = (kept, [_reducer(g, DRL, ring2.char) for g in kept])
+        out._gb[DRL.name] = (kept, reducers)
         return out
 
     def change_coordinates(self, matrix) -> "Ideal":
         """Apply the substitution x_i -> sum_j matrix[i][j] x_j to every
-        generator.  The matrix must be invertible mod p."""
+        generator.  The matrix must be invertible mod p.  All generators
+        share one table of monomial images (`_substitute`).
+
+        When this ideal holds its DRL basis, the result takes its Hilbert
+        numerator, which an invertible change keeps.  If moreover the
+        matrix sends each x_i into span(x_i, ..., x_n) (matrix[i][i] != 0
+        and matrix[i][j] = 0 for j < i), the result derives its DRL basis
+        from this one when it is first read, without Buchberger.  Moving a
+        factor x_i to a later x_j lowers a monomial in degrevlex, so each
+        substituted basis element keeps its lead.  Those leads generate the
+        initial ideal of this ideal, which has the Hilbert function of the
+        result, and they lie in the result's initial ideal; so the two
+        initial ideals are equal and the substituted basis is a Groebner
+        basis.  Made monic and tail-reduced, it is the unique reduced basis
+        that `buchberger` would return."""
         n = self.ring.nvars
-        a = _square_rows(matrix, n, self.ring.char, "coordinate change")
-        if matrix_rank(a, self.ring.char) != n:
+        p = self.ring.char
+        a = _square_rows(matrix, n, p, "coordinate change")
+        if matrix_rank(a, p) != n:
             raise InputError("coordinate change matrix is singular")
-        out = Ideal(self.ring, [g.substitute_linear(a) for g in self.gens])
+        forms, images = _linear_images(a)
+        out = Ideal(
+            self.ring,
+            [Polynomial(self.ring, _substitute(g.terms, forms, images, p)) for g in self.gens],
+        )
         if DRL.name in self._gb:
-            # the change is invertible, so it keeps the Hilbert function
             out._numerator = self.hilbert_series_numerator()
+            if all(a[i][i] and not any(a[i][:i]) for i in range(n)):
+                out._moved_from = (self._gb[DRL.name][0], forms, images)
         return out
 
     def extend_ring(self, new_name: str) -> "Ideal":
@@ -1201,7 +1294,11 @@ class EmbeddedScheme:
     def change_coordinates(self, matrix, labels: dict | None = None) -> "EmbeddedScheme":
         """The scheme under `Ideal.change_coordinates`.  An invertible linear
         change keeps it homogeneous, non-unit and nondegenerate, so it is not
-        validated again, and its DRL basis is computed when first read."""
+        validated again, and its DRL basis is computed when first read.  When
+        the matrix sends each x_i into span(x_i, ..., x_n), as
+        `syzgeo.move_point_matrix` does for a point whose last coordinate is
+        nonzero, every DRL lead is kept, and that basis is the validated
+        source basis substituted, made monic and tail-reduced."""
         moved = object.__new__(EmbeddedScheme)
         moved._adopt(self.ideal.change_coordinates(matrix), labels)
         return moved

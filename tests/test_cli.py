@@ -129,6 +129,43 @@ def test_rerun_identical_modulo_timings(capsys):
     assert first == second
 
 
+def test_the_shared_parser_gives_the_reports_of_fresh_ones(capsys):
+    # the parser is built once per process; the flags of one call must not
+    # leak into the next, the appended --point list included
+    argvs = [
+        ["reconstruct", "rnc 3", "--p", "2", "--field-char", "101", "--entry-budget", "1000",
+         "--point", "1,2,4,8", "--point", "1,3,9,27", "--point", "1,0,0,0",
+         "--point", "0,0,0,1", "--json"],
+        ["reconstruct", "rnc 3", "--p", "2", "--json"],
+        ["betti", "rnc 3", "--field-char", "7", "--entry-budget", "1", "--json"],
+        ["betti", "rnc 3", "--json"],
+    ]
+
+    def outcomes(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            rc = main(argv)
+            captured = capsys.readouterr()
+            report = json.loads(captured.out) if rc == 0 else None
+            if report is not None:
+                report.pop("timings")
+            out.append((rc, report, captured.err))
+        return out
+
+    shared = outcomes(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert shared == outcomes(fresh=True)
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0]
+    first, second = shared[0][1], shared[1][1]
+    assert first["field_char"] == 101 and len(first["payload"]["points"]) == 4
+    assert second["field_char"] == 32003 and len(second["payload"]["points"]) == 4
+    assert second["payload"]["points"] != first["payload"]["points"]
+    assert "over the budget of 1" in shared[2][2]
+    assert shared[3][1]["field_char"] == 32003
+
+
 def test_shared_instances_are_built_once(capsys, monkeypatch):
     calls = []
     build = cli.model_image

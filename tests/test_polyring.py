@@ -1,5 +1,6 @@
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -729,3 +730,180 @@ def test_colon_var_saturation_matches_the_permuted_ring(nvars, p, seed):
         reference = _colon_by_permuted_ring(ideal, i)
         assert colon.groebner() == reference.groebner()
         assert (colon is ideal) == reference.same_ideal(ideal)
+
+
+# -- moved bases and the saturation shortcut ------------------------------------
+
+
+@contextmanager
+def _buchberger_orders():
+    """The names of the orders `buchberger` is called with inside the block."""
+    import syzkit.polyring as polyring
+
+    orders = []
+    real = polyring.buchberger
+
+    def counting(gens, order, p, hilbert=None):
+        orders.append(order.name)
+        return real(gens, order, p, hilbert)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "buchberger", counting)
+        yield orders
+
+
+def _basis_items(basis):
+    return [list(g.items()) for g in basis]
+
+
+def _upper_triangular(rng, n, p):
+    """Each x_i goes into span(x_i, ..., x_n), with a nonzero, not
+    necessarily unit, diagonal."""
+    return [
+        [rng.randrange(1, p) if j == i else rng.randrange(p) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([2, 3, 32003]), st.integers(0, 2**32 - 1))
+def test_moved_drl_bases_are_derived_without_buchberger(nvars, p, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(1, 4))]
+    ideal = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 5)))
+    ideal.groebner()  # the source basis is cached
+    a = _upper_triangular(rng, nvars, p)
+    moved = ideal.change_coordinates(a)
+    # the generators share one table of images; each must be its own image
+    assert moved.gens == tuple(g.substitute_linear(a) for g in ideal.gens)
+    with _buchberger_orders() as orders:
+        derived = moved._groebner_entry(DRL)
+    assert orders == []
+    plain = buchberger([g.terms for g in moved.gens], DRL, p)
+    assert _basis_items(derived[0]) == _basis_items(plain)
+    assert derived[1] == plain.reducers
+    assert moved.hilbert_series_numerator() == ideal.hilbert_series_numerator()
+    # any other invertible matrix, with a nonzero diagonal or not, keeps
+    # the Buchberger path
+    b = _invertible(rng, nvars, p)
+    triangular = all(b[i][i] and not any(b[i][:i]) for i in range(nvars))
+    other = ideal.change_coordinates(b)
+    with _buchberger_orders() as orders:
+        got = other.groebner()
+    assert orders == ([] if triangular else [DRL.name])
+    assert _basis_items(got) == _basis_items(buchberger([g.terms for g in other.gens], DRL, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_move_point_matrix_derives_exactly_when_the_last_coordinate_is_nonzero(
+    nvars, p, last_zero, seed
+):
+    from syzkit.syzgeo import ProjectivePoint, move_point_matrix
+
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((2, 2, 3)) for _ in range(rng.randint(1, 3))]
+    ideal = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 5)))
+    ideal.groebner()
+    coords = [rng.randrange(p) for _ in range(nvars)]
+    coords[-1] = 0 if last_zero else rng.randrange(1, p)
+    if not any(coords):
+        coords[rng.randrange(nvars - 1)] = 1
+    moved = ideal.change_coordinates(move_point_matrix(ProjectivePoint.make(p, coords)))
+    with _buchberger_orders() as orders:
+        got = moved.groebner()
+    assert orders == ([DRL.name] if last_zero else [])
+    plain = buchberger([g.terms for g in moved.gens], DRL, p)
+    assert _basis_items(got) == _basis_items(plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([2, 3, 32003]), st.integers(0, 2**32 - 1))
+def test_substitute_linear_matches_a_sympy_expansion(nvars, p, seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    (f,) = _random_gens(ring, rng, [rng.randint(0, 4)], rng.randint(1, 8))
+    # any matrix, singular ones included
+    a = [[rng.randrange(p) for _ in range(nvars)] for _ in range(nvars)]
+    xs = sympy.symbols(ring.names)
+    forms = [sum(a[i][j] * xs[j] for j in range(nvars)) for i in range(nvars)]
+    expr = sum(
+        c * sympy.Mul(*(forms[i] ** e for i, e in enumerate(m))) for m, c in f.terms.items()
+    )
+    expanded = sympy.Poly(sympy.expand(expr), *xs)
+    want = {m: int(c) % p for m, c in expanded.terms() if int(c) % p}
+    assert f.substitute_linear(a).terms == want
+
+
+def _saturation_by_every_colon(ideal):
+    """The intersection of I : x_i^infinity over every variable, from a
+    copy of the ideal with no cached bases."""
+    fresh = Ideal(ideal.ring, ideal.gens)
+    out = fresh.colon_var_saturation(0)
+    for i in range(1, ideal.ring.nvars):
+        out = out.intersect(fresh.colon_var_saturation(i))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["times-m", "cap-power-of-m", "saturated-cap-x_n"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_saturation_equals_the_intersection_over_every_variable(nvars, p, kind, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 2)) for _ in range(rng.randint(1, 3))]
+    base = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 4)))
+    xs = ring.gens()
+    if kind == "times-m":
+        ideal = Ideal(ring, [g * x for g in base.gens for x in xs])
+    elif kind == "cap-power-of-m":
+        power = Ideal(ring, [ring.monomial(m) for m in ring.monomials_of_degree(rng.randint(1, 3))])
+        ideal = base.intersect(power).check_homogeneous()
+    else:
+        # saturated, as an intersection of saturated ideals, and x_n is a
+        # zero divisor on it
+        ideal = _saturation_by_every_colon(base).intersect(Ideal(ring, [xs[-1]]))
+        ideal.check_homogeneous()
+    reference = _saturation_by_every_colon(ideal)
+    got = ideal.saturate_irrelevant()
+    assert _basis_items(got.groebner()) == _basis_items(reference.groebner())
+    if kind != "cap-power-of-m":
+        assert ideal.colon_var_saturation(nvars - 1) is not ideal
+    if kind == "times-m":
+        assert got.same_ideal(_saturation_by_every_colon(base))
+    if kind == "saturated-cap-x_n":
+        assert got.same_ideal(ideal)
+
+
+def test_projecting_rnc_4_derives_the_moved_drl_basis():
+    from syzkit.builders import rational_normal_curve
+    from syzkit.syzgeo import project_scheme
+
+    curve = rational_normal_curve(4)  # validated: its DRL basis is cached
+    with _buchberger_orders() as orders:
+        ctx = project_scheme(curve, (1, 2, 3, 4, 5))
+        moved = ctx.moved.ideal.groebner()
+        assert ctx.moved.ideal.saturate_irrelevant() is ctx.moved.ideal
+    # only the elimination runs Buchberger; the moved DRL basis is derived
+    assert orders == [BlockOrder((4,), 5).name]
+    plain = buchberger([g.terms for g in ctx.moved.ideal.gens], DRL, curve.char)
+    assert _basis_items(moved) == _basis_items(plain)
+
+
+def test_saturating_a_saturated_ideal_reads_only_the_drl_basis(r4):
+    cubic = twisted_cubic(r4)
+    with _buchberger_orders() as orders:
+        assert cubic.saturate_irrelevant() is cubic
+    assert orders == [DRL.name]
