@@ -205,7 +205,19 @@ def sample_points(scheme: EmbeddedScheme, count: int, seed: int) -> list:
 def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> EmbeddedScheme:
     """A random complete-intersection curve: len(degrees) forms in
     P^(len(degrees)+1), resampled until the dimension certifies a regular
-    sequence.  Degrees >= 2 keep the scheme nondegenerate."""
+    sequence.  Degrees >= 2 keep the scheme nondegenerate.
+
+    Each draw's Groebner basis is computed with the series
+    prod_i (1 - t^d_i) / (1-t)^n of a regular sequence as a floor of its
+    Hilbert function (see `polyring.buchberger`).  The floor holds for any
+    forms of these degrees, regular or not: dim (R/I)_d is dim R_d less
+    the rank of a matrix in the coefficients, so it is upper
+    semicontinuous and takes its least value on a dense open set of
+    forms over the algebraic closure (where the dimension is the same as
+    over F_p).  Regular sequences, those with V(I) of codimension
+    len(degrees), form a nonempty open set too (pure powers of distinct
+    variables lie in it), which meets that one; all of them have that
+    series, so it is the least value."""
     degrees = tuple(int(d) for d in degrees)
     if not degrees:
         raise InputError("complete_intersection needs at least one degree")
@@ -215,8 +227,10 @@ def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> E
     ring = PolyRing(char, tuple(f"x{i}" for i in range(nv)))
     rng = seeded_rng(seed)
     expected_degree = 1
+    floor = [1]  # the numerator prod_i (1 - t^d_i)
     for d in degrees:
         expected_degree *= d
+        floor = [a - b for a, b in zip(floor + [0] * d, [0] * d + floor)]
     for _ in range(24):
         gens = []
         for d in degrees:
@@ -224,6 +238,7 @@ def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> E
             coeffs = rng.integers(0, char, size=len(monos))
             gens.append(Polynomial(ring, {m: int(c) for m, c in zip(monos, coeffs) if c}))
         ideal = Ideal(ring, gens)
+        ideal._floor = floor
         hd = ideal.hilbert_data()
         if hd.dimension == 1 and hd.degree == expected_degree:
             return EmbeddedScheme(

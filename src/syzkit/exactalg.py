@@ -99,12 +99,26 @@ class SparseRows(NamedTuple):
         return SparseRows(out, len(self.rows))
 
 
+class ReducedRows(SparseRows):
+    """A `SparseRows` whose values are known to lie in [1, char), as an
+    assembly that reduces every entry builds it: `sparse_rows` hands it
+    on for that char without a scan."""
+
+    def __new__(cls, rows: list, ncols: int, char: int):
+        self = super().__new__(cls, rows, ncols)
+        self.char = char
+        return self
+
+
 def sparse_rows(m, p: int) -> SparseRows:
     """m as sparse rows with values in [1, p).
 
-    A row of a `SparseRows` whose values already lie in that range is
-    handed on as it is, not copied; the engine copies a row before its
-    first write.  A dense matrix is read by plain iteration."""
+    A `ReducedRows` for p is handed on as it is.  A row of any other
+    `SparseRows` whose values already lie in that range is handed on as
+    it is, not copied; the engine copies a row before its first write.
+    A dense matrix is read by plain iteration."""
+    if isinstance(m, ReducedRows) and m.char == p:
+        return m
     if isinstance(m, SparseRows):
         rows = [
             row

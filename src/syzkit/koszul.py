@@ -65,7 +65,7 @@ from math import comb
 from operator import add
 
 from .errors import BudgetError, ConsistencyError, InputError
-from .exactalg import SparseRows, complement_basis, kernel_basis, rank, rref
+from .exactalg import ReducedRows, SparseRows, complement_basis, kernel_basis, rank, rref
 from .polyring import EmbeddedScheme, Ideal, Polynomial, PolyRing
 
 DEFAULT_ENTRY_BUDGET = 16_000_000
@@ -115,10 +115,10 @@ def _koszul_columns(
     """The columns of delta_{p,q}, as the sparse rows of its transpose.
 
     One dict {row: value} per source basis element (I, m), in column
-    order, with values in [1, char).  Dropping different positions k of I
-    gives different target wedges, so no two terms of a column share a
-    row.  This is the only assembly loop of delta: every other function
-    here reads its output.
+    order, with values in [1, char), marked so as `ReducedRows`.
+    Dropping different positions k of I gives different target wedges,
+    so no two terms of a column share a row.  This is the only assembly
+    loop of delta: every other function here reads its output.
     """
     rows, cols = _check_budget(scheme, p, q, entry_budget)
     if rows == 0 or cols == 0:
@@ -150,7 +150,7 @@ def _koszul_columns(
                 for j, c in prods[i]:
                     col[base + j] = sign * c % char
             columns.append(col)
-    return SparseRows(columns, rows)
+    return ReducedRows(columns, rows, char)
 
 
 def koszul_matrix(

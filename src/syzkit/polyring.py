@@ -21,9 +21,11 @@ intersection via the t-trick); everything else in the package is graded.
 - Lead terms carry a divisibility mask that rules out most non-divisors
   before the exponents are compared, and detects coprime pairs.
 - S-pairs go through the Gebauer-Moeller update (criteria B, M and F) and
-  are taken by least (degree of lcm, key).  When the Hilbert function is
-  known exactly, a degree's remaining pairs are dropped once its leads
-  reach it (Traverso).
+  are taken by least (degree of lcm, key).  When the Hilbert function, or
+  a proven floor of it, is known, a degree's remaining pairs are dropped
+  once its leads reach it (Traverso).
+- Hilbert data is cross-checked on standard monomials only in degrees
+  where the Hilbert function must equal the Hilbert polynomial.
 - An Ideal caches its reduced GB, with the lead terms and keyed tails, in
   one entry per order.  Every GB lives there, eliminations included, and
   that entry is the only caller of `buchberger`; an elimination also fills
@@ -632,20 +634,27 @@ def buchberger(
     order keys.  Accepts inhomogeneous input.  The reduced basis is unique
     for the order, so callers may compare ideals by comparing these lists.
 
-    `hilbert`, given for homogeneous generators only, is the numerator of
-    the Hilbert series of R/I over (1-t)^nvars (Traverso's Hilbert-driven
-    stop).  At the first pair of degree d, the degree-d monomials outside
-    the leads found so far are grown from degree d - 1 by `_next_degree`;
-    each new lead of degree d removes one.  The leads lie in in(I), which
-    has the Hilbert function of I in any order, so the count is at least
-    HF(d); once it equals HF(d), the pairs left in degree d reduce to zero
-    and are dropped.  Targets must be exact: `Ideal._groebner_entry` takes
-    them from cached DRL leads or across a change of coordinates, which
-    keeps the Hilbert function.  A change that sends each x_i into
-    span(x_i, ..., x_n) keeps every DRL lead as well, since moving a factor
-    x_i to a later x_j lowers a monomial in degrevlex; that moved DRL basis
-    is derived from the source basis without this function (see
-    `Ideal.change_coordinates`).
+    `hilbert`, given for homogeneous generators only, is the numerator
+    over (1-t)^nvars of a series whose coefficients T(d) are a floor of
+    the Hilbert function of R/I: T(d) <= HF(d) in every degree
+    (Traverso's Hilbert-driven stop).  At the first pair of degree d, the
+    degree-d monomials outside the leads found so far are grown from
+    degree d - 1 by `_next_degree`; each new lead of degree d removes one.
+    The leads lie in in(I), which has the Hilbert function of I in any
+    order, so the count is at least HF(d), which is at least T(d).  Once
+    the count equals T(d), both are equalities: the leads found span
+    in(I)_d, so the pairs left in degree d reduce to zero and are dropped.
+    A count below T(d) when degree d starts proves T(d) > HF(d) and
+    raises ConsistencyError; a target above HF(d) that the count meets on
+    the way down stops the degree early and goes undetected, so a target
+    must be a proven floor.  `Ideal._groebner_entry` passes the exact
+    numerator, from cached DRL leads or across a change of coordinates
+    (which keeps the Hilbert function), and otherwise the ideal's floor
+    if it has one (see `builders.complete_intersection`).  A change that
+    sends each x_i into span(x_i, ..., x_n) keeps every DRL lead as well,
+    since moving a factor x_i to a later x_j lowers a monomial in
+    degrevlex; that moved DRL basis is derived from the source basis
+    without this function (see `Ideal.change_coordinates`).
     """
     inputs = []
     for g in gens:
@@ -906,6 +915,10 @@ class Ideal:
         self._hilbert: HilbertData | None = None
         # the Hilbert numerator, from the DRL leads or a change of coordinates
         self._numerator: list[int] | None = None
+        # the numerator of a proven floor of the Hilbert function, a
+        # `buchberger` target while no exact numerator is known; never
+        # read as the Hilbert numerator itself
+        self._floor: list[int] | None = None
         # (source DRL basis, forms, images) of a change of coordinates that
         # keeps the DRL leads, until the DRL basis is first read
         self._moved_from: tuple | None = None
@@ -936,12 +949,13 @@ class Ideal:
                     [_reducer(_substitute(g, forms, images, p), DRL, p) for g in basis], p
                 )
             else:
-                # the Hilbert target only when it is exact: from the cached
-                # DRL leads or carried over `change_coordinates`, for
-                # homogeneous gens
-                known = self._numerator is not None or DRL.name in self._gb
-                homogeneous = all(g.is_homogeneous() for g in self.gens)
-                target = self.hilbert_series_numerator() if known and homogeneous else None
+                # for homogeneous gens, the exact Hilbert target (from the
+                # cached DRL leads or carried over `change_coordinates`),
+                # else the floor, if any
+                target = None
+                if all(g.is_homogeneous() for g in self.gens):
+                    known = self._numerator is not None or DRL.name in self._gb
+                    target = self.hilbert_series_numerator() if known else self._floor
                 gb = buchberger([g.terms for g in self.gens], order, p, target)
             got = (gb, gb.reducers)
             self._gb[order.name] = got
@@ -1067,10 +1081,17 @@ class Ideal:
     def hilbert_data(self) -> HilbertData:
         """Dimension, degree and Hilbert polynomial of Proj(R/I).
 
-        Computed exactly from the Hilbert series, then cross-checked by
-        Newton interpolation on enumerated Hilbert function values beyond
-        the numerator degree (finite differences must stabilize; any
-        disagreement raises ConsistencyError)."""
+        Computed exactly from the Hilbert series, then cross-checked on
+        enumerated Hilbert function values (finite differences must
+        stabilize; any disagreement raises ConsistencyError).  With the
+        series reduced to h(t) / (1-t)^D, r = deg h, HF(d) equals
+        sum_k h_k C(d - k + D - 1, D - 1), and each binomial agrees with
+        its polynomial in d once d - k + D - 1 >= 0: HF(d) = HP(d) for
+        every d >= r - D + 1 (Hilbert-Serre), and not always at r - D (for
+        a quadric and a cubic in P^3, HF(1) = 4, HP(1) = 3).  So the D + 1
+        samples start at max(0, r - D + 1).  HP has degree D - 1, and two
+        such polynomials that agree at D + 1 points are equal, so any
+        window where HF = HP must hold catches the same wrong HPs."""
         if self._hilbert is not None:
             return self._hilbert
         nv = self.ring.nvars
@@ -1098,8 +1119,9 @@ class Ideal:
         degree = sum(reduced)
         coeffs = _poly_from_binomials(reduced, D)
         data = HilbertData(D - 1, degree, coeffs)
-        # independent route: interpolate enumerated h(d) beyond numerator deg
-        d0 = len(num)  # strictly beyond the numerator degree
+        # independent route: enumerated h(d) from where HF = HP must hold,
+        # with r + 1 = len(reduced)
+        d0 = max(0, len(reduced) - D)
         samples = [self.hilbert_function(d) for d in range(d0, d0 + D + 1)]
         diffs = list(samples)
         for _ in range(D - 1):

@@ -194,6 +194,34 @@ def test_complete_intersection_grid_stable_across_fields():
     assert dict(grid.entries) == {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}
 
 
+def test_complete_intersection_redraws_forms_that_are_not_a_regular_sequence(monkeypatch):
+    # the second draw repeats the first, so the first pair of quadrics is
+    # one quadric twice; its Hilbert function is above the floor the
+    # builder gives Buchberger, and the builder must see that and redraw
+    import syzkit.builders as builders
+
+    real = builders.seeded_rng
+    draws = []
+
+    class Repeating:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def integers(self, low, high, size):
+            out = draws[0] if len(draws) == 1 else self.rng.integers(low, high, size=size)
+            draws.append(out)
+            return out
+
+    monkeypatch.setattr(builders, "seeded_rng", Repeating)
+    ci = complete_intersection((2, 2))
+    assert len(draws) == 4
+    assert ci.ideal.gens[0] != ci.ideal.gens[1]
+    fresh = Ideal(ci.ring, ci.ideal.gens)
+    assert ci.ideal.hilbert_series_numerator() == fresh.hilbert_series_numerator()
+    assert ci.ideal.hilbert_data() == fresh.hilbert_data()
+    assert (fresh.hilbert_data().dimension, fresh.hilbert_data().degree) == (1, 4)
+
+
 def test_complete_intersection_rejects_linear_degrees():
     with pytest.raises(InputError):
         complete_intersection((1, 3))

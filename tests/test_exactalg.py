@@ -10,6 +10,7 @@ from syzkit.exactalg import (
     CROSSCHECK_CHAR,
     DEFAULT_CHAR,
     FieldSpec,
+    ReducedRows,
     SparseRows,
     complement_basis,
     in_span,
@@ -17,6 +18,7 @@ from syzkit.exactalg import (
     matrix_inverse,
     rank,
     rref,
+    sparse_rows,
 )
 
 LARGEST_CHAR = 2**31 - 1  # the largest prime FieldSpec accepts
@@ -265,6 +267,24 @@ def test_reduced_input_rows_are_never_written():
     square = [{0: 1, 1: 1}, {1: 1}]
     assert matrix_inverse(SparseRows(square, 2), p) == [[1, 6], [0, 1]]
     assert rows == snapshot and square == [{0: 1, 1: 1}, {1: 1}]
+
+def test_only_rows_marked_reduced_for_the_char_skip_the_scan():
+    p = 7
+    rows = [{0: 9, 1: -1}, {0: 7, 2: 3}, {1: 14}]
+    want = [{0: 2, 1: 6}, {2: 3}, {}]
+    dense_form = [[9, -1, 0], [7, 0, 3], [0, 14, 0]]
+    # plain rows are reduced, and multiples of p drop out
+    assert sparse_rows(SparseRows(rows, 3), p).rows == want
+    assert rank(SparseRows(rows, 3), p) == rank(dense_form, p) == 2
+    # rows marked reduced for another char are reduced too
+    assert sparse_rows(ReducedRows(rows, 3, 11), p).rows == want
+    assert rank(ReducedRows(rows, 3, 11), p) == 2
+    # rows marked reduced for p are handed on as they are
+    marked = ReducedRows(want, 3, p)
+    assert sparse_rows(marked, p) is marked
+    assert rank(marked, p) == 2
+    assert rows == [{0: 9, 1: -1}, {0: 7, 2: 3}, {1: 14}]
+
 
 def test_inverse_and_span_at_the_largest_prime():
     p = LARGEST_CHAR

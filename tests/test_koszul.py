@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from syzkit import koszul
 from syzkit.builders import complete_intersection, rational_normal_curve, scroll
 from syzkit.errors import BudgetError, ConsistencyError, InputError
-from syzkit.exactalg import SparseRows, rref
+from syzkit.exactalg import ReducedRows, SparseRows, rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
@@ -118,6 +118,15 @@ def test_koszul_rank_matches_dense_rref(name, char):
         for q in range(-1, 3):
             dense = koszul_matrix(scheme, p, q)
             assert koszul_rank(scheme, p, q) == len(rref(dense, char)[1]), (p, q)
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_SCHEMES))
+def test_koszul_columns_are_marked_reduced_for_their_char(name):
+    scheme = _RANK_SCHEMES[name](3)
+    for p, q in ((1, 1), (2, 1), (1, 2)):
+        columns = koszul._koszul_columns(scheme, p, q)
+        assert isinstance(columns, ReducedRows) and columns.char == 3
+        assert all(v in (1, 2) for col in columns.rows for v in col.values())
 
 
 def test_koszul_rank_builds_no_dense_matrix():

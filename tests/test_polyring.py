@@ -907,3 +907,145 @@ def test_saturating_a_saturated_ideal_reads_only_the_drl_basis(r4):
     with _buchberger_orders() as orders:
         assert cubic.saturate_irrelevant() is cubic
     assert orders == [DRL.name]
+
+
+# -- Hilbert windows and floors ---------------------------------------------
+
+
+def _reduced_series(ideal):
+    """(h, D) with HS(R/I) = h(t) / (1-t)^D and h(1) != 0, by dividing the
+    numerator over (1-t)^nvars by 1 - t while t = 1 is a root."""
+    h, D = list(ideal.hilbert_series_numerator()), ideal.ring.nvars
+    while D and any(h) and sum(h) == 0:
+        h = list(itertools.accumulate(h[:-1]))
+        D -= 1
+    return h, D
+
+
+def _window_start(ideal):
+    """r - D + 1, r = deg h: the first degree where HF = HP must hold."""
+    h, D = _reduced_series(ideal)
+    return len(h) - D
+
+
+def _skew_linear_spaces(ring, rng):
+    """Two disjoint linear spaces, x_0 = .. = x_{k-1} = 0 and x_k = .. = 0,
+    moved by a random invertible matrix: not Cohen-Macaulay once both
+    spaces are positive-dimensional or they differ in dimension."""
+    n = ring.nvars
+    k = rng.randint(1, n - 1)
+    xs = ring.gens()
+    ideal = Ideal(ring, [xs[i] * xs[j] for i in range(k) for j in range(k, n)])
+    return ideal.change_coordinates(_invertible(rng, n, ring.char))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["random", "skew", "times-m"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_hilbert_polynomial_equals_the_function_from_the_window_start(nvars, p, kind, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    if kind == "skew":
+        ideal = _skew_linear_spaces(ring, rng)
+    else:
+        degrees = [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(1, 4))]
+        ideal = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 5)))
+        if kind == "times-m":
+            ideal = Ideal(ring, [g * x for g in ideal.gens for x in ring.gens()])
+    hd = ideal.hilbert_data()
+    h, D = _reduced_series(ideal)
+    if D == 0:
+        assert (hd.dimension, hd.degree) == (-1, 0)
+        return
+    assert (hd.dimension, hd.degree) == (D - 1, sum(h))
+    # from r - D + 1 through the end of the window the numerator's degree
+    # gave: len(numerator) + D
+    end = len(ideal.hilbert_series_numerator()) + D
+    for d in range(max(0, _window_start(ideal)), end + 1):
+        assert hd(d) == ideal.hilbert_function(d), d
+
+
+def test_the_window_start_is_tight(r4):
+    from syzkit.builders import complete_intersection
+
+    skew = Ideal(r4, ["x0*x2", "x0*x3", "x1*x2", "x1*x3"])
+    cases = [
+        (complete_intersection((2, 3)).ideal, 2),  # HF(1) = 4, HP(1) = 3
+        (complete_intersection((2, 2, 3)).ideal, 3),  # HF(2) = 13, HP(2) = 12
+        (skew, 1),  # HF(0) = 1, HP(0) = 2
+    ]
+    for ideal, start in cases:
+        hd = ideal.hilbert_data()
+        assert _window_start(ideal) == start
+        assert hd(start - 1) != ideal.hilbert_function(start - 1)
+        assert hd(start) == ideal.hilbert_function(start)
+
+
+def test_hilbert_data_grows_standard_monomials_through_the_window_only():
+    from syzkit.builders import complete_intersection, scroll
+
+    # scroll 3 3 2: h = 1 + 7t, D = 4, so d0 = 0 and the samples are 0..4;
+    # ci 2 2 3: h = (1 + t)^2 (1 + t + t^2), D = 2, d0 = 3, samples 3..5
+    for scheme, last in ((scroll((3, 3, 2)), 4), (complete_intersection((2, 2, 3)), 5)):
+        fresh = Ideal(scheme.ring, scheme.ideal.gens)
+        fresh.hilbert_data()
+        assert len(fresh._std) == last + 1
+
+
+def _ci_floor(degrees):
+    """The numerator prod (1 - t^d) of a regular sequence's series."""
+    out = [1]
+    for d in degrees:
+        out = [a - b for a, b in zip(out + [0] * d, [0] * d + out)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["dense", "sparse", "shared-factor"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_complete_intersection_floor_gives_the_plain_basis(nvars, p, kind, seed):
+    # dense forms are a regular sequence for most draws, sparse ones often
+    # not, and forms with a common factor never (for two or more)
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((2, 2, 3)) for _ in range(rng.randint(1, nvars - 1))]
+    if kind == "shared-factor":
+        common = _random_gens(ring, rng, [1], nvars)[0]
+        gens = [common * g for g in _random_gens(ring, rng, [d - 1 for d in degrees], 4)]
+    else:
+        terms = 50 if kind == "dense" else rng.randint(1, 3)
+        gens = _random_gens(ring, rng, degrees, terms)
+    floor = _ci_floor(degrees)
+    orders = [DRL, DegRevLex(last=rng.randrange(nvars), nvars=nvars), BlockOrder((0,), nvars)]
+    for order in orders:
+        plain = buchberger([g.terms for g in gens], order, p)
+        assert _basis_items(buchberger([g.terms for g in gens], order, p, floor)) == _basis_items(plain)
+    # an ideal reads its floor as a target only, never as its numerator
+    ideal, fresh = Ideal(ring, gens), Ideal(ring, gens)
+    ideal._floor = floor
+    assert _basis_items(ideal.groebner()) == _basis_items(fresh.groebner())
+    assert ideal.hilbert_series_numerator() == fresh.hilbert_series_numerator()
+    assert ideal.hilbert_data() == fresh.hilbert_data()
+
+
+def test_a_floor_above_the_hilbert_function_is_refused(r4):
+    # the floor of a quadric and a cubic asks for HF(3) >= 20 - 4 - 1; two
+    # general quadrics have leads x0^2 and x0*x1, which leave 13 standard
+    # cubics when their pair comes up in degree 3
+    rng = random.Random(3)
+    gens = _random_gens(r4, rng, [2, 2], 10)
+    assert Ideal(r4, gens).lead_monomials()[:2] == [(1, 1, 0, 0), (2, 0, 0, 0)]
+    with pytest.raises(ConsistencyError, match="degree 3"):
+        buchberger([g.terms for g in gens], DRL, 32003, _ci_floor([2, 3]))
+    ideal = Ideal(r4, gens)
+    ideal._floor = _ci_floor([2, 3])
+    with pytest.raises(ConsistencyError, match="degree 3"):
+        ideal.groebner()
