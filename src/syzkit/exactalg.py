@@ -10,8 +10,8 @@ pass (`_forward`) reduces each incoming row's lead term against the pivot
 rows found so far, until its lead column is new or the row vanishes.  The
 back pass (`_backward`) then clears every other pivot column from each
 pivot row, in decreasing pivot order, which gives the reduced row echelon
-form.  `rank` needs only the forward pass, and can grow one pivot set
-over several calls; `kernel_basis` and
+form.  `rank` and `in_span` need only the forward pass, and `rank` can
+grow one pivot set over several calls; `kernel_basis` and
 `complement_basis` read the sparse RREF rows, so they never make dense
 the rows they do not return.  The matrices of this package are mostly
 well under 1% nonzero, so fill-in stays small.
@@ -21,7 +21,8 @@ of equal-length rows of integers read by plain iteration, and reduces its
 entries mod p once.  A dense matrix with no rows has no width, so a matrix
 that can be empty is passed as `SparseRows([], ncols)`.  Results are in
 row form too: `rref`, `kernel_basis` and `complement_basis` return
-`SparseRows`, `matrix_inverse` a list of int rows, and `in_span` a list.
+`SparseRows`, and `matrix_inverse` a list of int rows.  `in_span` takes
+its vector as a dict {row: value} and returns a bool.
 No function here writes to a dict it was given, and every row it returns
 is a fresh one.
 
@@ -239,26 +240,21 @@ def kernel_basis(m, p: int) -> SparseRows:
     return SparseRows(list(basis.values()), ncols)
 
 
-def in_span(v, m, p: int) -> tuple[bool, list[int] | None]:
-    """Is the dense vector v in the column span of m?  Returns (flag,
-    witness).
+def in_span(v: dict, m, p: int) -> bool:
+    """Is v, a vector given as {row: value}, in the column span of m?
 
-    When flag is True, witness w satisfies m @ w = v (mod p); otherwise
-    witness is None.
-    """
+    v is appended to m as its last column; it is in the span exactly when
+    that column holds no pivot, which the forward pass alone decides.
+    Raises ValueError for a row index outside m."""
     rows, ncols = sparse_rows(m, p)
-    vec = [int(c) % p for c in v]
-    if len(vec) != len(rows):
-        raise ValueError(f"vector length {len(vec)} != row count {len(rows)}")
-    rows = [{**row, ncols: c} if c else row for row, c in zip(rows, vec)]
-    pivots = _forward(rows, p, {}, own=True)
-    if ncols in pivots:
-        return False, None
-    _backward(pivots, p)
-    witness = [0] * ncols
-    for k, row in pivots.items():
-        witness[k] = row.get(ncols, 0)
-    return True, witness
+    if not all(0 <= i < len(rows) for i in v):
+        raise ValueError(f"vector has a row index outside the {len(rows)} rows of m")
+    # a copy: sparse_rows hands a ReducedRows list on as it is
+    rows = list(rows)
+    for i, c in v.items():
+        if c := int(c) % p:
+            rows[i] = {**rows[i], ncols: c}
+    return ncols not in _forward(rows, p, {})
 
 
 def matrix_inverse(m, p: int) -> list[list[int]]:

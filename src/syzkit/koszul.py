@@ -361,28 +361,23 @@ class KoszulCocycle:
     # -- vector layout (matches koszul_matrix columns for q = 1) ------------
 
     def to_vector(self) -> dict:
-        """The nonzero coordinates, as a row dict {index: coeff}."""
-        widx = {w: i for i, w in enumerate(exterior_basis(self.scheme.ring.nvars, self.p))}
-        monos = self.scheme.ideal.standard_monomials(1)
-        vmap = {m.index(1): i for i, m in enumerate(monos)}
-        return {
-            widx[wedge] * len(monos) + vmap[var]: c
-            for (wedge, var), c in self.coeffs.items()
-        }
+        """The nonzero coordinates, as a row dict {index: coeff}.
+
+        A scheme holds no linear form, so S_1 is V with x_0..x_n in order,
+        and (wedge, var) sits at wedge_index * nvars + var."""
+        nv = self.scheme.ring.nvars
+        widx = {w: i for i, w in enumerate(exterior_basis(nv, self.p))}
+        return {widx[wedge] * nv + var: c for (wedge, var), c in self.coeffs.items()}
 
     @classmethod
     def from_vector(cls, scheme: EmbeddedScheme, p: int, vec: dict) -> "KoszulCocycle":
-        """The cocycle with coordinates the row dict {index: coeff}."""
-        wedges = exterior_basis(scheme.ring.nvars, p)
-        monos = scheme.ideal.standard_monomials(1)
-        vars_of = [m.index(1) for m in monos]
-        coeffs = {}
-        for idx, c in sorted(vec.items()):
-            c = int(c) % scheme.char
-            if c:
-                w = wedges[idx // len(monos)]
-                coeffs[(w, vars_of[idx % len(monos)])] = c
-        return cls(scheme, p, coeffs)
+        """The cocycle with coordinates the row dict {index: coeff}, in the
+        layout of `to_vector`."""
+        nv = scheme.ring.nvars
+        wedges = exterior_basis(nv, p)
+        return cls(
+            scheme, p, {(wedges[idx // nv], idx % nv): int(c) for idx, c in sorted(vec.items())}
+        )
 
     def is_cocycle(self) -> bool:
         """Is delta_{p,1} of this tensor zero?  Summed exactly in Python
@@ -405,11 +400,7 @@ class KoszulCocycle:
             raise InputError("cocycles live in different spaces")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            v = (out.get(k, 0) + c) % self.scheme.char
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return KoszulCocycle(self.scheme, self.p, out)
 
     def scale(self, c: int) -> "KoszulCocycle":
@@ -479,11 +470,7 @@ def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = Non
     if not cocycle.coeffs:
         return True
     cob = coboundary_rows(scheme, cocycle.p, entry_budget)
-    vec = [0] * cob.ncols
-    for idx, c in cocycle.to_vector().items():
-        vec[idx] = c
-    ok, _ = in_span(vec, cob.transpose(), scheme.char)
-    return ok
+    return in_span(cocycle.to_vector(), cob.transpose(), scheme.char)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub

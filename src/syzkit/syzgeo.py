@@ -12,13 +12,16 @@ point, contracts the first tensor factor, and restricts to the forms
 vanishing at x.  Two independent membership tests for "x lies on the
 syzygy scheme" are provided:
 
-- route A: after the move, the contraction obstruction lives exactly on
-  the (wedge containing n, variable n) coefficient slots; membership is
-  their vanishing (equivalently: the syzygy quadrics vanish at x).
+- route A: after the move, contract at the last coordinate point; the
+  obstruction is the part of the contraction at variable n, and
+  membership is its vanishing (equivalently: the syzygy quadrics vanish
+  at x).  The rest of the contraction is the projected class.
 - route B: the contracted tensor represents a class in the subcomplex
   built from the hyperplane W of forms vanishing at x; membership is that
   the class comes from the projected scheme Y, tested as a span membership
-  against Y's cocycles plus the W-coboundaries.
+  against Y's cocycles.  These contain the W-coboundaries: those are the
+  columns of delta_{p,0} of Y, and delta o delta = 0 in the pure Koszul
+  complex.
 
 The two routes agree unconditionally (delta anti-commutes with the
 contraction on the W-subcomplex); any disagreement raises ConsistencyError
@@ -31,13 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, InputError
 from .exactalg import SparseRows, in_span, kernel_basis, matrix_inverse, rank as matrix_rank
-from .koszul import (
-    KoszulCocycle,
-    exterior_basis,
-    koszul_matrix,
-    koszul_space_dim,
-    removal_sign,
-)
+from .koszul import KoszulCocycle, exterior_basis, koszul_matrix, removal_sign
 from .polyring import EmbeddedScheme, Ideal, Polynomial
 
 
@@ -62,25 +59,24 @@ class ProjectivePoint:
         return len(self.coords)
 
 
+def _as_point(scheme: EmbeddedScheme, point) -> ProjectivePoint:
+    """point as a ProjectivePoint over the scheme's field."""
+    return point if isinstance(point, ProjectivePoint) else ProjectivePoint.make(scheme.char, point)
+
+
 def contract(point: ProjectivePoint, cocycle: KoszulCocycle) -> dict:
     """Contraction of the first tensor factor against the evaluation
     functional of the point: { (wedge minus i, var): coeff } summed with
     the removal signs.  Returned as a plain coefficient dict on
-    Lambda^{p-1} V (x) V."""
-    char = cocycle.scheme.char
+    Lambda^{p-1} V (x) V, reduced and without zero coefficients."""
     out: dict = {}
     for (wedge, var), c in cocycle.coeffs.items():
         for k, i in enumerate(wedge):
-            a = point.coords[i]
-            if not a:
-                continue
-            key = (wedge[:k] + wedge[k + 1 :], var)
-            v = (out.get(key, 0) + removal_sign(k) * a * c) % char
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+            if a := point.coords[i]:
+                key = (wedge[:k] + wedge[k + 1 :], var)
+                out[key] = out.get(key, 0) + removal_sign(k) * a * c
+    char = cocycle.scheme.char
+    return {key: r for key, v in out.items() if (r := v % char)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +96,20 @@ def syzygy_quadrics(cocycle: KoszulCocycle) -> dict:
     the pure Koszul differential of the cocycle.  Keys are wedge tuples J,
     values Polynomials; zero quadrics are omitted."""
     ring = cocycle.scheme.ring
-    char = ring.char
     acc: dict[tuple, dict] = {}
     for (wedge, j), c in cocycle.coeffs.items():
         for k, i in enumerate(wedge):
-            target = wedge[:k] + wedge[k + 1 :]
             e = [0] * ring.nvars
             e[i] += 1
             e[j] += 1
             mono = tuple(e)
-            bucket = acc.setdefault(target, {})
-            v = (bucket.get(mono, 0) + removal_sign(k) * c) % char
-            if v:
-                bucket[mono] = v
-            elif mono in bucket:
-                del bucket[mono]
-    return {J: Polynomial(ring, terms) for J, terms in sorted(acc.items()) if terms}
+            bucket = acc.setdefault(wedge[:k] + wedge[k + 1 :], {})
+            bucket[mono] = bucket.get(mono, 0) + removal_sign(k) * c
+    quads = {}
+    for J, bucket in sorted(acc.items()):
+        if terms := {m: r for m, v in bucket.items() if (r := v % ring.char)}:
+            quads[J] = Polynomial(ring, terms)
+    return quads
 
 
 def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
@@ -125,8 +119,9 @@ def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
     Rejects representatives of the zero class (their quadrics all vanish,
     which would make the syzygy scheme the ambient space): by exactness of
     the pure Koszul complex these are exactly the coboundaries, so the
-    extraction map itself is the test.  Also checks the cocycle condition:
-    every extracted quadric must lie in I(X)_2."""
+    extraction map itself is the test.  Also checks the cocycle condition,
+    which says every extracted quadric lies in I(X)_2: the e_J entry of
+    delta(alpha) is the normal form of the quadric at J."""
     source = cocycle.scheme
     quads = syzygy_quadrics(cocycle)
     if not quads:
@@ -134,12 +129,10 @@ def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
             "the syzygy scheme of the zero class is the ambient space by "
             "convention; rejected"
         )
-    for J, q in quads.items():
-        if source.ideal.normal_form(q).terms:
-            raise InputError(
-                f"input is not a cocycle: extracted quadric at {J} is not in "
-                "the scheme's ideal"
-            )
+    if not cocycle.is_cocycle():
+        raise InputError(
+            "input is not a cocycle: an extracted quadric is not in the scheme's ideal"
+        )
     ideal = Ideal(source.ring, list(quads.values()))
     scheme = EmbeddedScheme(
         ideal,
@@ -201,7 +194,6 @@ def transform_cocycle(
     char = cocycle.scheme.char
     nv = cocycle.scheme.ring.nvars
     a = [[int(v) % char for v in row] for row in matrix]
-    p = cocycle.p
     out: dict = {}
     minor_cache: dict = {}
     for (wedge, var), c in cocycle.coeffs.items():
@@ -210,17 +202,9 @@ def transform_cocycle(
             minors = minor_cache[wedge] = _wedge_minors(a, wedge, char)
         for K, d in minors.items():
             for l in range(nv):
-                al = a[var][l]
-                if not al:
-                    continue
-                key = (K, l)
-                v = (out.get(key, 0) + c * d * al) % char
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-    moved = KoszulCocycle(target, p, out)
-    return moved
+                if al := a[var][l]:
+                    out[K, l] = out.get((K, l), 0) + c * d * al
+    return KoszulCocycle(target, cocycle.p, out)
 
 
 @dataclass
@@ -238,7 +222,7 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
     """Project a scheme from an ambient point: move the point last, then
     eliminate the last variable.  The projected ideal is the exact
     elimination ideal (the closure of the image)."""
-    pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.make(scheme.char, point)
+    pt = _as_point(scheme, point)
     if len(pt.coords) != scheme.ring.nvars:
         raise InputError("point has wrong coordinate count for the ambient space")
     if scheme.contains(pt.coords) and scheme.hilbert_data().dimension == 0:
@@ -257,63 +241,30 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
 # projecting classes and membership
 
 
-def _route_a_obstruction(moved_cocycle: KoszulCocycle) -> dict:
-    """The (wedge containing n, var == n) coefficients of the moved
-    cocycle: the contraction obstruction.  Representative-independent."""
-    nv = moved_cocycle.scheme.ring.nvars
-    n = nv - 1
-    return {
-        (wedge, var): c
-        for (wedge, var), c in moved_cocycle.coeffs.items()
-        if n in wedge and var == n
-    }
+def _route_b_holds(ctx: ProjectionContext, gamma: dict, p: int) -> bool:
+    """Does gamma, the moved class contracted at the last coordinate point,
+    come from the projected scheme Y?  That is the span membership of gamma
+    in Y's cocycles, ker delta_{p-1,1}(Y), embedded with second factor < n.
+    They contain the W-coboundaries, the columns of delta_{p,0}(Y), since
+    delta o delta = 0 in the pure Koszul complex.
 
-
-def _route_b_holds(ctx: ProjectionContext, moved_cocycle: KoszulCocycle) -> bool:
-    """Is the contracted class in the image of the projected scheme's
-    cocycles (plus W-coboundaries) inside the W-subcomplex?"""
+    S_1 is V for every scheme here, as none holds a linear form, so both
+    layouts put (wedge, var) at wedge_index * nvars + var: Y's with its n
+    variables, gamma's with all nv, to leave room for var == n."""
+    if not gamma:
+        return True
     nv = ctx.moved.ring.nvars
     n = nv - 1
     char = ctx.moved.char
-    p = moved_cocycle.p
-    pt_moved = ProjectivePoint.make(char, tuple([0] * n + [1]))
-    gamma = contract(pt_moved, moved_cocycle)
-    # layout: wedges from the first n coordinates, all nv second factors
     wedges = exterior_basis(n, p - 1)
     widx = {w: i for i, w in enumerate(wedges)}
-    dim = len(wedges) * nv
-    gvec = [0] * dim
-    for (wedge, var), c in gamma.items():
-        if any(i >= n for i in wedge):
-            raise ConsistencyError("contracted wedge escaped the hyperplane")
-        gvec[widx[wedge] * nv + var] = c
-    if not any(gvec):
-        return True
-    span_rows = []
-    # cocycles of the projected scheme, embedded (second factor stays < n)
-    y = ctx.projected
-    ymat = koszul_matrix(y, p - 1, 1)
-    width = koszul_space_dim(y, p - 1, 1)
-    if width:
-        # kernel coordinates follow the koszul_matrix column layout:
-        # wedge-major, then standard degree-1 monomials of the projection
-        ymonos = y.ideal.standard_monomials(1)
-        for row in kernel_basis(ymat or SparseRows([], width), char).rows:
-            vec = {}
-            for idx, c in row.items():
-                wedge = wedges[idx // len(ymonos)]
-                var = ymonos[idx % len(ymonos)].index(1)
-                vec[widx[wedge] * nv + var] = c
-            span_rows.append(vec)
-    # W-coboundaries: differentials of pure wedges in the first n coords
-    for K in exterior_basis(n, p):
-        span_rows.append(
-            {widx[K[:k] + K[k + 1 :]] * nv + i: removal_sign(k) for k, i in enumerate(K)}
-        )
-    if not span_rows:
-        return False
-    ok, _ = in_span(gvec, SparseRows(span_rows, dim).transpose(), char)
-    return ok
+    ymat = koszul_matrix(ctx.projected, p - 1, 1)
+    cocycles = [
+        {idx // n * nv + idx % n: c for idx, c in row.items()}
+        for row in kernel_basis(ymat or SparseRows([], len(wedges) * n), char).rows
+    ]
+    vec = {widx[wedge] * nv + var: c for (wedge, var), c in gamma.items()}
+    return in_span(vec, SparseRows(cocycles, len(wedges) * nv).transpose(), char)
 
 
 @dataclass
@@ -334,7 +285,7 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
     (route B).  All three must agree; disagreement raises ConsistencyError
     with enough context to replay."""
     scheme = cocycle.scheme
-    pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.make(scheme.char, point)
+    pt = _as_point(scheme, point)
     quads = syzygy_quadrics(cocycle)
     if not quads:
         raise InputError("membership for the zero class is trivial; rejected")
@@ -343,8 +294,11 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
     moved = transform_cocycle(cocycle, ctx.matrix, ctx.moved)
     if not moved.is_cocycle():
         raise ConsistencyError("transported cocycle failed the cocycle test")
-    route_a = not _route_a_obstruction(moved)
-    route_b = _route_b_holds(ctx, moved)
+    n = scheme.ring.nvars - 1
+    gamma = contract(ProjectivePoint(scheme.char, (0,) * n + (1,)), moved)
+    # the obstruction is gamma's part at var == n
+    route_a = all(var != n for _, var in gamma)
+    route_b = _route_b_holds(ctx, gamma, cocycle.p)
     if not (direct == route_a == route_b):
         raise ConsistencyError(
             "membership routes disagree: "
@@ -364,7 +318,6 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
 class ProjectedClass:
     cocycle: KoszulCocycle  # over the projected scheme
     context: ProjectionContext
-    moved_cocycle: KoszulCocycle
 
 
 def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
@@ -374,31 +327,28 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
     vanishes for every representative) and p must be at least 2 (the
     projected class lives one wedge degree down).  The projected cocycle
     keeps the contraction sign, so its quadrics are literally a subset of
-    the source syzygy quadrics in the moved coordinates."""
+    the source syzygy quadrics in the moved coordinates: it is the
+    contraction of the moved class at the last coordinate point."""
     scheme = cocycle.scheme
-    pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.make(scheme.char, point)
+    pt = _as_point(scheme, point)
     if cocycle.p < 2:
         raise InputError("projection needs wedge degree p >= 2")
     if not scheme.contains(pt.coords):
         raise InputError(f"point {pt.coords} is not on the scheme; cannot project the class")
     ctx = project_scheme(scheme, pt)
     moved = transform_cocycle(cocycle, ctx.matrix, ctx.moved)
-    obstruction = _route_a_obstruction(moved)
+    n = scheme.ring.nvars - 1
+    gamma = contract(ProjectivePoint(scheme.char, (0,) * n + (1,)), moved)
+    obstruction = {key: c for key, c in gamma.items() if key[1] == n}
     if obstruction:
         raise ConsistencyError(
             "contraction obstruction is nonzero for a point on the scheme; "
             f"this is a bug: {obstruction}"
         )
-    n = scheme.ring.nvars - 1
-    sign = removal_sign(cocycle.p - 1)
-    coeffs = {}
-    for (wedge, var), c in moved.coeffs.items():
-        if n in wedge and var < n:
-            coeffs[(wedge[:-1], var)] = sign * c % scheme.char
-    beta = KoszulCocycle(ctx.projected, cocycle.p - 1, coeffs)
+    beta = KoszulCocycle(ctx.projected, cocycle.p - 1, gamma)
     if not beta.is_cocycle():
         raise ConsistencyError("projected class is not a cocycle; this is a bug")
-    return ProjectedClass(cocycle=beta, context=ctx, moved_cocycle=moved)
+    return ProjectedClass(cocycle=beta, context=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +375,7 @@ def reconstruct_from_projections(
     whose class dies (all quadrics zero) are skipped with a warning."""
     scheme = cocycle.scheme
     char = scheme.char
-    pts = [
-        pt if isinstance(pt, ProjectivePoint) else ProjectivePoint.make(char, pt)
-        for pt in points
-    ]
+    pts = [_as_point(scheme, pt) for pt in points]
     if cocycle.p < 2:
         raise InputError("reconstruction needs wedge degree p >= 2")
     for pt in pts:
@@ -449,13 +396,12 @@ def reconstruct_from_projections(
                 f"projection from {pt.coords} kills the class; cone skipped"
             )
             continue
-        cone_moved = Ideal(
-            projected.context.projected.ring, list(quads.values())
-        ).extend_ring(last_name)
-        # the extended ring has the same names as the source ring
-        cone_src = Ideal(scheme.ring, [
-            Polynomial(scheme.ring, dict(g.terms)) for g in cone_moved.gens
-        ]).change_coordinates(matrix_inverse(projected.context.matrix, char))
+        # the extended ring has the source ring's names, so it equals it
+        cone_src = (
+            Ideal(projected.context.projected.ring, list(quads.values()))
+            .extend_ring(last_name)
+            .change_coordinates(matrix_inverse(projected.context.matrix, char))
+        )
         cones.append((pt, cone_src, projected.cocycle))
         gens_sum.extend(cone_src.gens)
     result_ideal = Ideal(scheme.ring, gens_sum)

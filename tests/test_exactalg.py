@@ -84,10 +84,15 @@ def test_rref_spec_kernel_example():
 
 
 def test_in_span_example():
-    ok, w = in_span([3, 6], [[1], [2]], 7)
-    assert ok and list(w) == [3]
-    ok, w = in_span([1, 0], [[1], [2]], 7)
-    assert not ok and w is None
+    # v is {row: value}; absent rows, and multiples of p, are zero
+    assert in_span({0: 3, 1: 6}, [[1], [2]], 7)
+    assert in_span({0: 10, 1: -1}, [[1], [2]], 7)
+    assert in_span({}, [[1], [2]], 7) and in_span({1: 14}, [[1], [2]], 7)
+    assert not in_span({0: 1}, [[1], [2]], 7)
+    assert not in_span({0: 1}, SparseRows([{}, {}], 0), 7)
+    for v in ({2: 1}, {-1: 1}, {2: 0}):
+        with pytest.raises(ValueError, match="row index"):
+            in_span(v, [[1], [2]], 7)
 
 
 def test_zero_and_empty_matrices():
@@ -153,14 +158,16 @@ def test_rref_idempotent():
 
 
 def test_in_span_witness_random():
+    # v = m @ x for a random witness x is in the span; v + e_0 is not, as
+    # the 4 columns of m and e_0 have rank 5
     p = 32003
     rng = np.random.default_rng(11)
     m = rng.integers(0, p, size=(9, 4), dtype=np.int64)
     x = rng.integers(0, p, size=4, dtype=np.int64)
-    v = (m @ x) % p
-    ok, w = in_span(v, m, p)
-    assert ok
-    assert not np.any((m @ w - v) % p)
+    v = dict(enumerate((m @ x) % p))
+    assert rank(np.column_stack([m, np.eye(9, dtype=np.int64)[0]]), p) == 5
+    assert in_span(v, m, p)
+    assert not in_span({**v, 0: v[0] + 1}, m, p)
 
 
 def test_complement_basis_properties():
@@ -263,7 +270,12 @@ def test_reduced_input_rows_are_never_written():
     assert rref(m, p) == (SparseRows([{0: 1, 2: 1}, {1: 1, 2: 2}], 3), [0, 1])
     assert kernel_basis(m, p) == SparseRows([{2: 1, 0: 6, 1: 5}], 3)
     assert complement_basis(SparseRows(rows[1:], 3), m, p) == SparseRows([{0: 1, 2: 1}], 3)
-    assert in_span([1, 2], m, p) == (True, [6, 2, 0])
+    assert in_span({0: 1, 1: 2}, m, p) is True
+    # a ReducedRows list is handed on as it is: in_span must neither write
+    # to its rows nor put the extra column into the list itself
+    marked = ReducedRows(rows, 3, p)
+    assert in_span({0: 1, 1: 2}, marked, p) is True
+    assert marked.rows is rows
     square = [{0: 1, 1: 1}, {1: 1}]
     assert matrix_inverse(SparseRows(square, 2), p) == [[1, 6], [0, 1]]
     assert rows == snapshot and square == [{0: 1, 1: 1}, {1: 1}]
@@ -296,10 +308,10 @@ def test_inverse_and_span_at_the_largest_prime():
     assert np.array_equal(prod, np.eye(6, dtype=object))
     m = rng.integers(0, p, size=(9, 4), dtype=np.int64)
     x = rng.integers(0, p, size=4, dtype=np.int64)
-    v = m.astype(object) @ x.astype(object) % p
-    ok, w = in_span(v.astype(np.int64), m, p)
-    assert ok
-    assert not np.any((m.astype(object) @ np.array(w, dtype=object) - v) % p)
+    v = dict(enumerate(m.astype(object) @ x.astype(object) % p))
+    assert in_span(v, m, p)
+    assert in_span({i: c - 3 * p for i, c in v.items()}, m, p)
+    assert not in_span({**v, 8: v[8] + 1}, m, p)
 
 
 def _as_form(a: np.ndarray, form: str):
@@ -349,19 +361,13 @@ def test_row_form_results_match_naive_rref(nrows, ncols, density, p, form, seed)
     assert np.array_equal(dense(complement_basis(_as_form(sub, form), m, p)), reduced[keep])
 
     # in_span against the naive RREF of [a | v], for a v in the span and a
-    # random one
+    # random one, given as {row: value} with unreduced values and some of
+    # the zero rows left out
     x = rng.integers(0, p, size=ncols)
     for v in [(a.astype(object) @ x.astype(object)) % p, rng.integers(0, p, size=nrows)]:
-        aug_reduced, aug_piv = naive_rref(np.column_stack([a % p, np.asarray(v, dtype=np.int64)]), p)
-        ok, w = in_span(list(v), m, p)
-        assert ok == (ncols not in aug_piv)
-        if ok:
-            want_w = [0] * ncols
-            for k, c in enumerate(aug_piv):
-                want_w[c] = int(aug_reduced[k, ncols])
-            assert w == want_w
-        else:
-            assert w is None
+        aug_piv = naive_rref(np.column_stack([a % p, np.asarray(v, dtype=np.int64)]), p)[1]
+        vec = {i: int(c) - p for i, c in enumerate(v) if c or i % 2}
+        assert in_span(vec, m, p) == (ncols not in aug_piv)
 
     # the inverse of the leading square block, from the naive RREF of [b | 1]
     n = min(nrows, ncols)

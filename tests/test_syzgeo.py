@@ -18,16 +18,20 @@ P^3 with ideal generated by the 2x2 minors of [[x0,x1,x2],[x1,x2,x3]]:
 import numpy as np
 import pytest
 
+from syzkit.builders import rational_normal_curve, scroll
 from syzkit.errors import ConsistencyError, InputError
 from syzkit.koszul import (
     KoszulCocycle,
     coboundary_rows,
+    exterior_basis,
     k_p1_cocycle_basis,
+    removal_sign,
 )
 from syzkit.polyring import BlockOrder, EmbeddedScheme, Ideal, PolyRing
 from syzkit.syzgeo import (
     MembershipResult,
     ProjectivePoint,
+    _route_b_holds,
     contract,
     move_point_matrix,
     project_class,
@@ -343,6 +347,56 @@ def test_membership_wedge2(tc):
     assert not off.member and not off.point_on_scheme
     off2 = syz_membership(alpha, (1, 0, 0, 1))
     assert not off2.member
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_membership_off_the_curve_at_small_primes(char):
+    """Off the curve the contraction at the moved point has terms at x_n:
+    route A reads them, and route B finds it outside the projection's
+    cocycles.  A wedge-1 class also meets points of its quadric."""
+    curve = twisted_cubic(char)
+    last = ProjectivePoint.make(char, (0, 0, 0, 1))
+    single = KoszulCocycle(curve, 1, {((1,), 3): 1, ((2,), 2): -1})
+    off_curve = [(0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)]
+    for alpha in [single, *k_p1_cocycle_basis(curve, 2)]:
+        quads = syzygy_quadrics(alpha).values()
+        for coords in off_curve:
+            assert not curve.contains(coords)
+            direct = all(q.evaluate(coords) == 0 for q in quads)
+            assert member_flags(syz_membership(alpha, coords)) == (direct,) * 4
+            ctx = project_scheme(curve, coords)
+            gamma = contract(last, transform_cocycle(alpha, ctx.matrix, ctx.moved))
+            assert direct == all(var != 3 for _, var in gamma)
+    # the wedge-2 classes cut out the curve; V(x1 x3 - x2^2) holds (1, 0, 0, 1)
+    assert syz_membership(single, (1, 0, 0, 1)).member
+
+
+@pytest.mark.parametrize("char", [2, 3, CHAR])
+@pytest.mark.parametrize(
+    "build, arg",
+    [(rational_normal_curve, 3), (rational_normal_curve, 4), (scroll, (1, 2))],
+    ids=["rnc 3", "rnc 4", "scroll 1 2"],
+)
+def test_w_coboundaries_lie_in_the_projected_cocycles(build, arg, char):
+    """Route B spans the cocycles of the projection Y alone.  Each
+    W-coboundary delta(e_K), K inside the first n coordinates, is a column
+    of delta_{p,0}(Y), so a cocycle of Y since delta o delta = 0 in the pure
+    Koszul complex: it passes route B for every wedge degree p, from points
+    on and off the scheme.  A term at var == n never does."""
+    scheme = build(arg, char)
+    n = scheme.ring.nvars - 1
+    points = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    points += [(1,) * (n + 1), tuple(range(1, n + 2))]
+    on = 0
+    for coords in points:
+        on += scheme.contains(coords)
+        ctx = project_scheme(scheme, coords)
+        for p in range(1, n + 1):
+            for K in exterior_basis(n, p):
+                cob = {(K[:k] + K[k + 1 :], i): removal_sign(k) for k, i in enumerate(K)}
+                assert _route_b_holds(ctx, cob, p), (coords, K)
+            assert not _route_b_holds(ctx, {(tuple(range(p - 1)), n): 1}, p)
+    assert 0 < on < n + 3
 
 
 def test_membership_rejects_zero_class(tc):
