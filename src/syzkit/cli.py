@@ -543,8 +543,13 @@ def cmd_project(args, ctx: RunContext) -> int:
 
 def _spanning_points(scheme: EmbeddedScheme, count: int, seed: int, ctx: RunContext):
     """Distinct points on the scheme whose coordinates span the ambient
-    space; extends the sample (with a warning) if a draw is degenerate."""
+    space: at least nvars of them, and more (with a warning) if a draw is
+    degenerate.  A count below nvars is raised to it with a warning."""
     nv = scheme.ring.nvars
+    if count < nv:
+        ctx.warnings.append(
+            f"{count} point(s) cannot span P^{nv - 1}; sampling {nv} points instead"
+        )
     want = max(count, nv)
     for attempt in range(3):
         pts = sample_points(scheme, want + attempt * nv, seed + attempt)
@@ -598,7 +603,7 @@ def cmd_reconstruct(args, ctx: RunContext) -> int:
     _emit(ctx, payload, [
         f"# reconstruction of the syzygy scheme on: {args.source}",
         f"points used: {len(points)}; cones intersected: {len(result.cones)}",
-        *(f"warning: {w}" for w in result.warnings),
+        *(f"warning: {w}" for w in ctx.warnings),
         f"equal to the syzygy scheme (after saturation): {equal}",
         f"every cone contains the syzygy scheme: {inclusions}",
     ])
@@ -1391,7 +1396,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="reconstruct a syzygy scheme from projections")
     p_rec.add_argument("source")
     p_rec.add_argument("--points", type=_at_least(1), default=None,
-                       help="how many points to sample (default: ambient dimension + 1)")
+                       help="how many points to sample; fewer than the default are "
+                            "raised to it with a warning (default: ambient dimension + 1)")
     p_rec.add_argument("--point", action="append", default=None, metavar="A,B,...",
                        help="explicit point (repeatable; overrides sampling)")
     p_rec.set_defaults(handler=cmd_reconstruct)

@@ -1268,17 +1268,6 @@ class Ideal:
                 out._moved_from = (self._gb[DRL.name][0], forms, images)
         return out
 
-    def extend_ring(self, new_name: str) -> "Ideal":
-        """The same generators viewed in a ring with one extra (last)
-        variable: the ideal of the cone with the new coordinate as vertex
-        direction."""
-        ring2 = PolyRing(self.ring.field, self.ring.names + (new_name,))
-        gens2 = [
-            Polynomial(ring2, {m + (0,): c for m, c in g.terms.items()})
-            for g in self.gens
-        ]
-        return Ideal(ring2, gens2)
-
 
 # ---------------------------------------------------------------------------
 # embedded schemes

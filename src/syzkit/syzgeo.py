@@ -21,7 +21,11 @@ syzygy scheme" are provided:
   the class comes from the projected scheme Y, tested as a span membership
   against Y's cocycles.  These contain the W-coboundaries: those are the
   columns of delta_{p,0} of Y, and delta o delta = 0 in the pure Koszul
-  complex.
+  complex.  Route B reads Y only in degree 2.  With S' = k[x_0..x_{n-1}],
+  (I_Y)_2 = (I_moved)_2 meet S'_2, so S'_2/(I_Y)_2 embeds in
+  S_2/(I_moved)_2, and Y's cocycles are the kernel of the moved scheme's
+  delta_{p-1,1} restricted to the columns with wedge and variable below n.
+  No elimination is run.
 
 The two routes agree unconditionally (delta anti-commutes with the
 contraction on the W-subcomplex); any disagreement raises ConsistencyError
@@ -31,6 +35,7 @@ because it can only be a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConsistencyError, InputError
 from .exactalg import SparseRows, in_span, kernel_basis, matrix_inverse, rank as matrix_rank
@@ -209,19 +214,31 @@ def transform_cocycle(
 
 @dataclass
 class ProjectionContext:
-    """Everything attached to projecting a scheme from a point."""
+    """Everything attached to projecting a scheme from a point.  `moved`
+    has the point at the last coordinate point; `projected`, the exact
+    elimination ideal of `moved` (the closure of the image), is computed
+    by block-order Buchberger when first read.  Membership and class
+    projection read only its degree-2 part, which `moved` holds."""
 
     source: EmbeddedScheme
     point: ProjectivePoint
     matrix: list
     moved: EmbeddedScheme
-    projected: EmbeddedScheme
+
+    @cached_property
+    def projected(self) -> EmbeddedScheme:
+        n = self.moved.ring.nvars - 1
+        # the elimination ideal carries its DRL basis; the scheme checks homogeneity
+        return EmbeddedScheme(
+            self.moved.ideal.eliminate((n,)),
+            labels={**self.source.labels, "projected-from": "point"},
+        )
 
 
 def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
-    """Project a scheme from an ambient point: move the point last, then
-    eliminate the last variable.  The projected ideal is the exact
-    elimination ideal (the closure of the image)."""
+    """Project a scheme from an ambient point: move the point last.  The
+    projection, the elimination of the last variable, is left to the first
+    read of `ProjectionContext.projected`."""
     pt = _as_point(scheme, point)
     if len(pt.coords) != scheme.ring.nvars:
         raise InputError("point has wrong coordinate count for the ambient space")
@@ -229,50 +246,50 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
         raise InputError("cannot project a zero-dimensional scheme from itself")
     mat = move_point_matrix(pt)
     moved = scheme.change_coordinates(mat, {**scheme.labels, "moved-point": "last-coordinate"})
-    n = scheme.ring.nvars - 1
-    # the elimination ideal carries its DRL basis; the scheme checks homogeneity
-    projected = EmbeddedScheme(
-        moved.ideal.eliminate((n,)), labels={**scheme.labels, "projected-from": "point"}
-    )
-    return ProjectionContext(source=scheme, point=pt, matrix=mat, moved=moved, projected=projected)
+    return ProjectionContext(source=scheme, point=pt, matrix=mat, moved=moved)
 
 
 # ---------------------------------------------------------------------------
 # projecting classes and membership
 
 
+def _projected_cocycles(ctx: ProjectionContext, p: int) -> SparseRows:
+    """ker delta_{p-1,1}(Y) of the projection Y, one row per basis vector,
+    read off the moved scheme (module docstring): the kernel of the moved
+    delta_{p-1,1} on the columns (wedge, var) with wedge and var below n.
+    None of these schemes holds a linear form, so S_1 is V and a column
+    sits at wedge_index * nvars + var; the kept columns come in Y's own
+    order, so the rows are Y's canonical kernel basis, embedded."""
+    nv = ctx.moved.ring.nvars
+    n = nv - 1
+    wedges = exterior_basis(nv, p - 1)
+    cols = [i * nv + var for i, wedge in enumerate(wedges) if n not in wedge for var in range(n)]
+    rows = [
+        {j: v for j, c in enumerate(cols) if (v := row[c])}
+        for row in koszul_matrix(ctx.moved, p - 1, 1)
+    ]
+    kernel = kernel_basis(SparseRows(rows, len(cols)), ctx.moved.char)
+    return SparseRows(
+        [{cols[j]: c for j, c in row.items()} for row in kernel.rows], len(wedges) * nv
+    )
+
+
 def _route_b_holds(ctx: ProjectionContext, gamma: dict, p: int) -> bool:
     """Does gamma, the moved class contracted at the last coordinate point,
-    come from the projected scheme Y?  That is the span membership of gamma
-    in Y's cocycles, ker delta_{p-1,1}(Y), embedded with second factor < n.
-    They contain the W-coboundaries, the columns of delta_{p,0}(Y), since
-    delta o delta = 0 in the pure Koszul complex.
-
-    S_1 is V for every scheme here, as none holds a linear form, so both
-    layouts put (wedge, var) at wedge_index * nvars + var: Y's with its n
-    variables, gamma's with all nv, to leave room for var == n."""
+    come from the projected scheme Y?  That is its span membership in Y's
+    cocycles, which contain the W-coboundaries, the columns of
+    delta_{p,0}(Y), since delta o delta = 0 in the pure Koszul complex."""
     if not gamma:
         return True
     nv = ctx.moved.ring.nvars
-    n = nv - 1
-    char = ctx.moved.char
-    wedges = exterior_basis(n, p - 1)
-    widx = {w: i for i, w in enumerate(wedges)}
-    ymat = koszul_matrix(ctx.projected, p - 1, 1)
-    cocycles = [
-        {idx // n * nv + idx % n: c for idx, c in row.items()}
-        for row in kernel_basis(ymat or SparseRows([], len(wedges) * n), char).rows
-    ]
+    widx = {w: i for i, w in enumerate(exterior_basis(nv, p - 1))}
     vec = {widx[wedge] * nv + var: c for (wedge, var), c in gamma.items()}
-    return in_span(vec, SparseRows(cocycles, len(wedges) * nv).transpose(), char)
+    return in_span(vec, _projected_cocycles(ctx, p).transpose(), ctx.moved.char)
 
 
 @dataclass
 class MembershipResult:
     member: bool
-    route_a: bool
-    route_b: bool
-    quadric_check: bool
     point_on_scheme: bool
 
 
@@ -305,19 +322,19 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
             f"direct={direct} route_a={route_a} route_b={route_b} "
             f"point={pt.coords} cocycle={cocycle.to_json_dict()}"
         )
-    return MembershipResult(
-        member=direct,
-        route_a=route_a,
-        route_b=route_b,
-        quadric_check=direct,
-        point_on_scheme=scheme.contains(pt.coords),
-    )
+    return MembershipResult(member=direct, point_on_scheme=scheme.contains(pt.coords))
 
 
 @dataclass
 class ProjectedClass:
-    cocycle: KoszulCocycle  # over the projected scheme
+    gamma: KoszulCocycle  # the contraction, as a (p-1)-tensor on the moved scheme
     context: ProjectionContext
+
+    @cached_property
+    def cocycle(self) -> KoszulCocycle:
+        """The class over the projected scheme: gamma's coefficients, read
+        there.  Reading it eliminates (`ProjectionContext.projected`)."""
+        return KoszulCocycle(self.context.projected, self.gamma.p, self.gamma.coeffs)
 
 
 def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
@@ -328,7 +345,9 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
     projected class lives one wedge degree down).  The projected cocycle
     keeps the contraction sign, so its quadrics are literally a subset of
     the source syzygy quadrics in the moved coordinates: it is the
-    contraction of the moved class at the last coordinate point."""
+    contraction of the moved class at the last coordinate point.  Its
+    cocycle condition is tested on the moved scheme: delta of it lies in
+    Lambda^{p-2} V' (x) S'_2, and S'_2/(I_Y)_2 embeds in S_2/(I_moved)_2."""
     scheme = cocycle.scheme
     pt = _as_point(scheme, point)
     if cocycle.p < 2:
@@ -345,10 +364,10 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
             "contraction obstruction is nonzero for a point on the scheme; "
             f"this is a bug: {obstruction}"
         )
-    beta = KoszulCocycle(ctx.projected, cocycle.p - 1, gamma)
+    beta = KoszulCocycle(ctx.moved, cocycle.p - 1, gamma)
     if not beta.is_cocycle():
         raise ConsistencyError("projected class is not a cocycle; this is a bug")
-    return ProjectedClass(cocycle=beta, context=ctx)
+    return ProjectedClass(gamma=beta, context=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +378,7 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
 class ReconstructionResult:
     ideal: Ideal  # sum of the cone ideals, in the source coordinates
     syzygy: SyzygySchemeResult  # the syzygy scheme of the input class
-    cones: list  # (point, cone Ideal, projected KoszulCocycle)
+    cones: list  # (point, cone Ideal, ProjectedClass)
     warnings: list = field(default_factory=list)
 
 
@@ -369,7 +388,9 @@ def reconstruct_from_projections(
     """Intersect the cones over the syzygy schemes of the projections of a
     class from a family of points of the scheme.
 
-    The points must lie on the scheme and span the ambient space.  Each
+    The points must lie on the scheme and span the ambient space.  A cone
+    is cut out by the projected class's quadrics, which are free of x_n:
+    they are the quadrics of gamma on the moved scheme, term for term.  Each
     cone ideal is pulled back to the source coordinates; the intersection
     of the cones is presented by the sum of their ideals.  Projections
     whose class dies (all quadrics zero) are skipped with a warning."""
@@ -387,22 +408,18 @@ def reconstruct_from_projections(
     cones = []
     warnings = []
     gens_sum = []
-    last_name = scheme.ring.names[-1]
     for pt in pts:
         projected = project_class(cocycle, pt)
-        quads = syzygy_quadrics(projected.cocycle)
+        quads = syzygy_quadrics(projected.gamma)
         if not quads:
             warnings.append(
                 f"projection from {pt.coords} kills the class; cone skipped"
             )
             continue
-        # the extended ring has the source ring's names, so it equals it
-        cone_src = (
-            Ideal(projected.context.projected.ring, list(quads.values()))
-            .extend_ring(last_name)
-            .change_coordinates(matrix_inverse(projected.context.matrix, char))
+        cone_src = Ideal(scheme.ring, list(quads.values())).change_coordinates(
+            matrix_inverse(projected.context.matrix, char)
         )
-        cones.append((pt, cone_src, projected.cocycle))
+        cones.append((pt, cone_src, projected))
         gens_sum.extend(cone_src.gens)
     result_ideal = Ideal(scheme.ring, gens_sum)
     return ReconstructionResult(

@@ -363,6 +363,18 @@ def test_reconstruct_equals_syzygy_scheme(capsys):
     assert report["payload"]["equal_to_syzygy_scheme"] is True
     assert report["payload"]["every_cone_contains_syzygy_scheme"] is True
     assert report["payload"]["cones"] == 4
+    assert report["warnings"] == []
+
+
+def test_reconstruct_warns_when_it_raises_the_point_count(capsys):
+    argv = ["reconstruct", "rnc 3", "--p", "2", "--points", "2"]
+    rc, report = run_json(capsys, [*argv, "--json"])
+    assert rc == 0
+    assert len(report["payload"]["points"]) == 4
+    warning = "2 point(s) cannot span P^3; sampling 4 points instead"
+    assert report["warnings"] == [warning]
+    assert main(argv) == 0
+    assert f"warning: {warning}" in capsys.readouterr().out.splitlines()
 
 
 def test_resolve_matches_koszul_grid(capsys):

@@ -377,14 +377,6 @@ def test_change_coordinates_round_trip(r4):
         ideal.change_coordinates(np.zeros((4, 4), dtype=np.int64))
 
 
-def test_extend_ring(r4):
-    ideal = twisted_cubic(r4)
-    cone = ideal.extend_ring("x4")
-    assert cone.ring.names == ("x0", "x1", "x2", "x3", "x4")
-    assert cone.hilbert_data().dimension == 2  # cone over a curve is a surface
-    assert cone.hilbert_data().degree == 3
-
-
 # -- embedded schemes ----------------------------------------------------------------
 
 
@@ -896,7 +888,10 @@ def test_projecting_rnc_4_derives_the_moved_drl_basis():
         ctx = project_scheme(curve, (1, 2, 3, 4, 5))
         moved = ctx.moved.ideal.groebner()
         assert ctx.moved.ideal.saturate_irrelevant() is ctx.moved.ideal
-    # only the elimination runs Buchberger; the moved DRL basis is derived
+    # the moved DRL basis is derived, and nothing is eliminated until read
+    assert orders == []
+    with _buchberger_orders() as orders:
+        assert ctx.projected.ring.nvars == 4
     assert orders == [BlockOrder((4,), 5).name]
     plain = buchberger([g.terms for g in ctx.moved.ideal.gens], DRL, curve.char)
     assert _basis_items(moved) == _basis_items(plain)

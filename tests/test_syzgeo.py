@@ -20,17 +20,19 @@ import pytest
 
 from syzkit.builders import rational_normal_curve, scroll
 from syzkit.errors import ConsistencyError, InputError
+from syzkit.exactalg import SparseRows, kernel_basis
 from syzkit.koszul import (
     KoszulCocycle,
     coboundary_rows,
     exterior_basis,
     k_p1_cocycle_basis,
+    koszul_matrix,
     removal_sign,
 )
 from syzkit.polyring import BlockOrder, EmbeddedScheme, Ideal, PolyRing
 from syzkit.syzgeo import (
-    MembershipResult,
     ProjectivePoint,
+    _projected_cocycles,
     _route_b_holds,
     contract,
     move_point_matrix,
@@ -238,6 +240,8 @@ def test_project_curve_from_external_point(tc):
 
 @pytest.mark.parametrize("point", [(1, 1, 1, 1), (0, 1, 0, 0), (3, 1, 4, 1)])
 def test_projection_computes_only_the_elimination_basis(monkeypatch, point):
+    """project_scheme runs no Buchberger; the first read of `projected`
+    runs one, in the block order."""
     from syzkit import polyring
 
     tc = twisted_cubic()  # validated: its DRL basis is cached
@@ -250,6 +254,8 @@ def test_projection_computes_only_the_elimination_basis(monkeypatch, point):
 
     monkeypatch.setattr(polyring, "buchberger", counting)
     ctx = project_scheme(tc, point)
+    assert orders == []  # moving the point eliminates nothing
+    ctx.projected
     assert orders == [BlockOrder((3,), 4).name]
     monkeypatch.undo()
     # the schemes built from scratch: the moved ideal validated again, the
@@ -318,22 +324,18 @@ def test_project_class_requires_wedge_degree_two(tc):
 # membership
 
 
-def member_flags(res: MembershipResult):
-    return (res.member, res.route_a, res.route_b, res.quadric_check)
-
-
 def test_membership_single_quadric(tc):
     # Syz(alpha) = V(x1 x3 - x2^2)
     alpha = KoszulCocycle(tc, 1, {((1,), 3): 1, ((2,), 2): -1})
     on_quadric_off_curve = syz_membership(alpha, (1, 0, 0, 1))
-    assert member_flags(on_quadric_off_curve) == (True,) * 4
+    assert on_quadric_off_curve.member
     assert not on_quadric_off_curve.point_on_scheme
 
     off_quadric = syz_membership(alpha, (1, 0, 1, 0))
-    assert member_flags(off_quadric) == (False,) * 4
+    assert not off_quadric.member
 
     on_curve = syz_membership(alpha, moment_point(tc, 1, 1))
-    assert member_flags(on_curve) == (True,) * 4
+    assert on_curve.member
     assert on_curve.point_on_scheme
 
 
@@ -363,12 +365,21 @@ def test_membership_off_the_curve_at_small_primes(char):
         for coords in off_curve:
             assert not curve.contains(coords)
             direct = all(q.evaluate(coords) == 0 for q in quads)
-            assert member_flags(syz_membership(alpha, coords)) == (direct,) * 4
+            assert syz_membership(alpha, coords).member == direct
             ctx = project_scheme(curve, coords)
             gamma = contract(last, transform_cocycle(alpha, ctx.matrix, ctx.moved))
             assert direct == all(var != 3 for _, var in gamma)
     # the wedge-2 classes cut out the curve; V(x1 x3 - x2^2) holds (1, 0, 0, 1)
     assert syz_membership(single, (1, 0, 0, 1)).member
+
+
+def _points_on_and_off(scheme):
+    """The coordinate points, (1, ..., 1) and (1, 2, ..., n + 1), with how
+    many of them lie on the scheme."""
+    nv = scheme.ring.nvars
+    points = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
+    points += [(1,) * nv, tuple(range(1, nv + 1))]
+    return points, sum(scheme.contains(coords) for coords in points)
 
 
 @pytest.mark.parametrize("char", [2, 3, CHAR])
@@ -385,11 +396,8 @@ def test_w_coboundaries_lie_in_the_projected_cocycles(build, arg, char):
     on and off the scheme.  A term at var == n never does."""
     scheme = build(arg, char)
     n = scheme.ring.nvars - 1
-    points = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
-    points += [(1,) * (n + 1), tuple(range(1, n + 2))]
-    on = 0
+    points, on = _points_on_and_off(scheme)
     for coords in points:
-        on += scheme.contains(coords)
         ctx = project_scheme(scheme, coords)
         for p in range(1, n + 1):
             for K in exterior_basis(n, p):
@@ -397,6 +405,69 @@ def test_w_coboundaries_lie_in_the_projected_cocycles(build, arg, char):
                 assert _route_b_holds(ctx, cob, p), (coords, K)
             assert not _route_b_holds(ctx, {(tuple(range(p - 1)), n): 1}, p)
     assert 0 < on < n + 3
+
+
+@pytest.mark.parametrize("char", [2, 3, CHAR])
+@pytest.mark.parametrize(
+    "build, arg",
+    [(rational_normal_curve, 3), (rational_normal_curve, 4), (scroll, (1, 2))],
+    ids=["rnc 3", "rnc 4", "scroll 1 2"],
+)
+def test_projected_cocycles_are_read_off_the_moved_scheme(build, arg, char):
+    """The degree-2 identity (I_Y)_2 = (I_moved)_2 meet S'_2: the moved
+    delta_{p-1,1} restricted to wedges and variables below n has the kernel
+    of delta_{p-1,1} of the eliminated projection Y, embedded in the moved
+    (wedge, var) layout.  The elimination is the oracle; both kernels are in
+    canonical form over the same column order, so their rows agree."""
+    scheme = build(arg, char)
+    nv = scheme.ring.nvars
+    n = nv - 1
+    points, on = _points_on_and_off(scheme)
+    assert 0 < on < len(points)
+    for coords in points:
+        ctx = project_scheme(scheme, coords)
+        for p in range(1, nv + 1):
+            got = _projected_cocycles(ctx, p)
+            ymat = koszul_matrix(ctx.projected, p - 1, 1)
+            width = len(exterior_basis(n, p - 1)) * n
+            want = kernel_basis(ymat or SparseRows([], width), char)
+            # Y's wedges are the moved wedges free of n, in the same order
+            wedges = exterior_basis(nv, p - 1)
+            free = [i for i, w in enumerate(wedges) if n not in w]
+            embedded = [
+                {free[idx // n] * nv + idx % n: c for idx, c in row.items()} for row in want.rows
+            ]
+            assert got.ncols == len(wedges) * nv
+            assert got.rows == embedded, (coords, p)
+
+
+def test_membership_and_class_projection_eliminate_nothing(monkeypatch):
+    """syz_membership, project_class and reconstruct_from_projections run no
+    block-order Buchberger: they read the projection off the moved scheme.
+    Reading a projected class over Y eliminates, once."""
+    from syzkit import polyring
+
+    curve = rational_normal_curve(4)
+    alpha = k_p1_cocycle_basis(curve, 3)[0]
+    on = [(1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1), (1, 2, 4, 8, 16), (16, 8, 4, 2, 1)]
+    orders = []
+    real = polyring.buchberger
+
+    def counting(gens, order, p, hilbert=None):
+        orders.append(order.name)
+        return real(gens, order, p, hilbert)
+
+    monkeypatch.setattr(polyring, "buchberger", counting)
+    for coords in [*on, (0, 1, 0, 0, 0), (1, 0, 0, 0, 1)]:
+        syz_membership(alpha, coords)
+    projected = [project_class(alpha, coords) for coords in on]
+    result = reconstruct_from_projections(alpha, on)
+    assert result.cones and len(result.cones) + len(result.warnings) == len(on)
+    assert orders and not [name for name in orders if name.startswith("elim")]
+    beta = projected[2].cocycle
+    assert orders[-1] == BlockOrder((4,), 5).name
+    assert beta.scheme is projected[2].context.projected
+    assert beta.is_cocycle() and beta.coeffs == projected[2].gamma.coeffs
 
 
 def test_membership_rejects_zero_class(tc):

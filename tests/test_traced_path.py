@@ -31,7 +31,7 @@ def test_traced_rref_and_koszul_matrix_count_their_entries(tracing):
     try:
         assert linear_strand_dim_from_ideal(tc, 2) == 2
         # a point off the curve: the contracted class is nonzero, so
-        # route B builds the projection's Koszul matrix
+        # route B builds the moved scheme's Koszul matrix
         assert not syz_membership(alpha, (1, 1, 1, 0)).member
     finally:
         tracing.uninstall(installed)
