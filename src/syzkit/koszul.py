@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from operator import add
 
@@ -379,21 +379,52 @@ class KoszulCocycle:
             scheme, p, {(wedges[idx // nv], idx % nv): int(c) for idx, c in sorted(vec.items())}
         )
 
-    def is_cocycle(self) -> bool:
-        """Is delta_{p,1} of this tensor zero?  Summed exactly in Python
-        ints over the terms sign * c * NF(x_i * x_var) of its nonzero
-        coefficients only; no matrix is built, so no budget applies."""
-        scheme = self.scheme
-        nv = scheme.ring.nvars
-        image: dict[tuple, int] = {}
-        for (wedge, var), c in self.coeffs.items():
-            x = tuple(int(v == var) for v in range(nv))
+    @cached_property
+    def quadric_terms(self) -> dict:
+        """{J: terms} for each (p-1)-subset J with a nonzero e_J quadric:
+        the e_J coefficient sum_k sign_k c x_{i_k} x_var of the pure Koszul
+        image of this tensor in Lambda^{p-1} V (x) Sym^2 V, summed over its
+        coefficients (wedge, var) with wedge minus i_k = J.  Each terms
+        dict maps exponent tuples to coefficients in [1, char); the J come
+        in increasing order.  Computed once per cocycle; callers must not
+        modify it."""
+        nv = self.scheme.ring.nvars
+        acc: dict[tuple, dict] = {}
+        for (wedge, j), c in self.coeffs.items():
             for k, i in enumerate(wedge):
-                sc = removal_sign(k) * c
-                rest = wedge[:k] + wedge[k + 1 :]
-                for m, v in scheme.ideal.nf_times_var(x, i).items():
-                    image[rest, m] = image.get((rest, m), 0) + sc * v
-        return not any(v % scheme.char for v in image.values())
+                e = [0] * nv
+                e[i] += 1
+                e[j] += 1
+                mono = tuple(e)
+                bucket = acc.setdefault(wedge[:k] + wedge[k + 1 :], {})
+                bucket[mono] = bucket.get(mono, 0) + removal_sign(k) * c
+        char = self.scheme.char
+        quads = {}
+        for J, bucket in sorted(acc.items()):
+            if terms := {m: r for m, v in bucket.items() if (r := v % char)}:
+                quads[J] = terms
+        return quads
+
+    def is_cocycle(self) -> bool:
+        """Is delta_{p,1} of this tensor zero?  Its e_J entry is the normal
+        form of the e_J quadric (`quadric_terms`), as NF is linear: each
+        quadric is summed first, then reduced term by term through
+        `nf_times_var`, exactly in Python ints.  No matrix is built, so no
+        budget applies."""
+        ideal = self.scheme.ideal
+        char = self.scheme.char
+        for terms in self.quadric_terms.values():
+            image: dict = {}
+            for m, c in terms.items():
+                # m = x_i * x_j with j its last variable
+                j = max(i for i, e in enumerate(m) if e)
+                rest = list(m)
+                rest[j] -= 1
+                for m2, v in ideal.nf_times_var(tuple(rest), j).items():
+                    image[m2] = image.get(m2, 0) + c * v
+            if any(v % char for v in image.values()):
+                return False
+        return True
 
     def add(self, other: "KoszulCocycle") -> "KoszulCocycle":
         if other.scheme is not self.scheme or other.p != self.p:
@@ -449,17 +480,27 @@ def coboundary_rows(
 def k_p1_cocycle_basis(
     scheme: EmbeddedScheme, p: int, entry_budget: int | None = None
 ) -> list[KoszulCocycle]:
-    """Canonical representatives of a basis of the (p,1) strand cohomology.
+    """Canonical representatives of a basis of the (p,1) strand cohomology,
+    cached on the scheme.
 
     Kernel of delta_{p,1} modulo the image of delta_{p+1,0}; representatives
     come from the canonical complement construction, so a fixed scheme and p
-    always produce the same list.
+    always produce the same list.  As in `koszul_rank`, the budget of both
+    deltas is checked before the cache is read, so a budgeted run fails
+    the same way whether or not the cache is warm.  Every call returns a
+    new list; the cocycles in it are shared.
     """
-    delta = _koszul_columns(scheme, p, 1, entry_budget).transpose()
-    ker = kernel_basis(delta, scheme.char)
-    cob = coboundary_rows(scheme, p, entry_budget)
-    reps = complement_basis(cob, ker, scheme.char)
-    return [KoszulCocycle.from_vector(scheme, p, row) for row in reps.rows]
+    _check_budget(scheme, p, 1, entry_budget)
+    _check_budget(scheme, p + 1, 0, entry_budget)
+    got = scheme._cocycle_bases.get(p)
+    if got is None:
+        delta = _koszul_columns(scheme, p, 1, entry_budget).transpose()
+        ker = kernel_basis(delta, scheme.char)
+        cob = coboundary_rows(scheme, p, entry_budget)
+        reps = complement_basis(cob, ker, scheme.char)
+        got = [KoszulCocycle.from_vector(scheme, p, row) for row in reps.rows]
+        scheme._cocycle_bases[p] = got
+    return list(got)
 
 
 def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = None) -> bool:

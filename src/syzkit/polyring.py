@@ -1053,15 +1053,25 @@ class Ideal:
 
     def nf_times_var(self, mono: Mono, var: int) -> dict:
         """Cached normal form of x_var * mono (mono given as an exponent
-        tuple).  Hot path for Koszul matrix assembly."""
+        tuple).  Hot path for Koszul matrix assembly.
+
+        Every DRL basis this ideal holds is reduced, so no other lead
+        divides a lead and the terms of a tail are standard: when the
+        product is itself the lead of a basis element, its normal form is
+        that element's tail negated, in the same (decreasing) order, and
+        no reduction runs."""
         key = (mono, var)
         got = self._nf_cache.get(key)
         if got is None:
             e = list(mono)
             e[var] += 1
             m2 = tuple(e)
-            if _divisor(m2, _divmask(m2), self._groebner_entry(DRL)[1]) is None:
+            r = _divisor(m2, _divmask(m2), self._groebner_entry(DRL)[1])
+            if r is None:
                 got = {m2: 1}
+            elif r[0] == m2:
+                p = self.ring.char
+                got = {m: p - c for m, _, c in r[4]}
             else:
                 got = self.normal_form(self.ring.monomial(m2)).terms
             self._nf_cache[key] = got
@@ -1300,6 +1310,7 @@ class EmbeddedScheme:
         self.labels = dict(labels or {})
         self._parametrization = None  # set by builders for point sampling
         self._koszul_ranks: dict = {}
+        self._cocycle_bases: dict = {}  # koszul.k_p1_cocycle_basis, by p
         self._reduction = None  # koszul.artinian_reduction, when first asked
 
     def change_coordinates(self, matrix, labels: dict | None = None) -> "EmbeddedScheme":

@@ -12,10 +12,13 @@ point, contracts the first tensor factor, and restricts to the forms
 vanishing at x.  Two independent membership tests for "x lies on the
 syzygy scheme" are provided:
 
-- route A: after the move, contract at the last coordinate point; the
-  obstruction is the part of the contraction at variable n, and
-  membership is its vanishing (equivalently: the syzygy quadrics vanish
-  at x).  The rest of the contraction is the projected class.
+- route A: contract the class at x, then transport the contraction along
+  the move.  The move matrix has x as its last column, so this is the
+  moved class contracted at the last coordinate point, with p - 1 wedge
+  factors to transport instead of p.  The obstruction is the part of the
+  contraction at variable n, and membership is its vanishing
+  (equivalently: the syzygy quadrics vanish at x).  The rest of the
+  contraction is the projected class.
 - route B: the contracted tensor represents a class in the subcomplex
   built from the hyperplane W of forms vanishing at x; membership is that
   the class comes from the projected scheme Y, tested as a span membership
@@ -99,22 +102,10 @@ class SyzygySchemeResult:
 def syzygy_quadrics(cocycle: KoszulCocycle) -> dict:
     """The quadric attached to each (p-1)-subset J: the e_J coefficient of
     the pure Koszul differential of the cocycle.  Keys are wedge tuples J,
-    values Polynomials; zero quadrics are omitted."""
+    in order, values Polynomials over the cocycle's cached
+    `KoszulCocycle.quadric_terms`; zero quadrics are omitted."""
     ring = cocycle.scheme.ring
-    acc: dict[tuple, dict] = {}
-    for (wedge, j), c in cocycle.coeffs.items():
-        for k, i in enumerate(wedge):
-            e = [0] * ring.nvars
-            e[i] += 1
-            e[j] += 1
-            mono = tuple(e)
-            bucket = acc.setdefault(wedge[:k] + wedge[k + 1 :], {})
-            bucket[mono] = bucket.get(mono, 0) + removal_sign(k) * c
-    quads = {}
-    for J, bucket in sorted(acc.items()):
-        if terms := {m: r for m, v in bucket.items() if (r := v % ring.char)}:
-            quads[J] = Polynomial(ring, terms)
-    return quads
+    return {J: Polynomial(ring, terms) for J, terms in cocycle.quadric_terms.items()}
 
 
 def syzygy_scheme(cocycle: KoszulCocycle) -> SyzygySchemeResult:
@@ -189,19 +180,15 @@ def move_point_matrix(point: ProjectivePoint) -> list[list[int]]:
     return mat
 
 
-def transform_cocycle(
-    cocycle: KoszulCocycle, matrix, target: EmbeddedScheme
-) -> KoszulCocycle:
-    """Transport a cocycle along the substitution x_i -> sum_j m[i][j] x_j.
-
-    Wedge factors transform by minors of the matrix, the last factor
-    linearly; the result is a cocycle for the transformed scheme."""
-    char = cocycle.scheme.char
-    nv = cocycle.scheme.ring.nvars
-    a = [[int(v) % char for v in row] for row in matrix]
+def _transport(coeffs: dict, a: list, char: int) -> dict:
+    """Coefficients {(wedge, var): c} of a tensor in Lambda^r V (x) V, as
+    integers, carried along the substitution x_i -> sum_j a[i][j] x_j with
+    a given as reduced int rows: each wedge factor by the minors of a, the
+    last factor linearly.  Not reduced; zero sums are kept."""
+    nv = len(a)
     out: dict = {}
     minor_cache: dict = {}
-    for (wedge, var), c in cocycle.coeffs.items():
+    for (wedge, var), c in coeffs.items():
         minors = minor_cache.get(wedge)
         if minors is None:
             minors = minor_cache[wedge] = _wedge_minors(a, wedge, char)
@@ -209,13 +196,28 @@ def transform_cocycle(
             for l in range(nv):
                 if al := a[var][l]:
                     out[K, l] = out.get((K, l), 0) + c * d * al
-    return KoszulCocycle(target, cocycle.p, out)
+    return out
+
+
+def transform_cocycle(
+    cocycle: KoszulCocycle, matrix, target: EmbeddedScheme
+) -> KoszulCocycle:
+    """Transport a cocycle along the substitution x_i -> sum_j m[i][j] x_j.
+
+    Wedge factors transform by minors of the matrix, the last factor
+    linearly (`_transport`); the result is a cocycle for the transformed
+    scheme.  Membership and class projection transport the contraction
+    instead; tests use this as their reference."""
+    char = cocycle.scheme.char
+    a = [[int(v) % char for v in row] for row in matrix]
+    return KoszulCocycle(target, cocycle.p, _transport(cocycle.coeffs, a, char))
 
 
 @dataclass
 class ProjectionContext:
     """Everything attached to projecting a scheme from a point.  `moved`
-    has the point at the last coordinate point; `projected`, the exact
+    has the point at the last coordinate point; `point_on_scheme` says
+    whether the point lies on the source; `projected`, the exact
     elimination ideal of `moved` (the closure of the image), is computed
     by block-order Buchberger when first read.  Membership and class
     projection read only its degree-2 part, which `moved` holds."""
@@ -224,6 +226,7 @@ class ProjectionContext:
     point: ProjectivePoint
     matrix: list
     moved: EmbeddedScheme
+    point_on_scheme: bool
 
     @cached_property
     def projected(self) -> EmbeddedScheme:
@@ -242,15 +245,28 @@ def project_scheme(scheme: EmbeddedScheme, point) -> ProjectionContext:
     pt = _as_point(scheme, point)
     if len(pt.coords) != scheme.ring.nvars:
         raise InputError("point has wrong coordinate count for the ambient space")
-    if scheme.contains(pt.coords) and scheme.hilbert_data().dimension == 0:
+    on_scheme = scheme.contains(pt.coords)
+    if on_scheme and scheme.hilbert_data().dimension == 0:
         raise InputError("cannot project a zero-dimensional scheme from itself")
     mat = move_point_matrix(pt)
     moved = scheme.change_coordinates(mat, {**scheme.labels, "moved-point": "last-coordinate"})
-    return ProjectionContext(source=scheme, point=pt, matrix=mat, moved=moved)
+    return ProjectionContext(
+        source=scheme, point=pt, matrix=mat, moved=moved, point_on_scheme=on_scheme
+    )
 
 
 # ---------------------------------------------------------------------------
 # projecting classes and membership
+
+
+def _moved_contraction(ctx: ProjectionContext, cocycle: KoszulCocycle) -> dict:
+    """gamma, the moved class contracted at the last coordinate point, as
+    a reduced coefficient dict on Lambda^{p-1} V (x) V.  The move matrix
+    has the point as its last column, so this is the contraction at the
+    point, transported: p - 1 wedge factors move, not p."""
+    char = ctx.moved.char
+    moved = _transport(contract(ctx.point, cocycle), ctx.matrix, char)
+    return {key: r for key, v in moved.items() if (r := v % char)}
 
 
 def _projected_cocycles(ctx: ProjectionContext, p: int) -> SparseRows:
@@ -297,10 +313,14 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
     """Does the point lie on the syzygy scheme of the class?
 
     Computes three ways: direct evaluation of the syzygy quadrics at the
-    point, the contraction-obstruction test after moving the point to the
-    distinguished coordinate (route A), and the projected-class span test
-    (route B).  All three must agree; disagreement raises ConsistencyError
-    with enough context to replay."""
+    point, the contraction-obstruction test on gamma, the contraction at
+    the point transported to the moved scheme (route A), and the
+    projected-class span test (route B).  All three must agree;
+    disagreement raises ConsistencyError with enough context to replay.
+    For p >= 2 gamma must also be a cocycle on the moved scheme, since
+    delta anti-commutes with the contraction; for p = 1 it lies in
+    Lambda^0 V (x) V, where delta is zero, and the agreement of the
+    direct route with route A checks the transport."""
     scheme = cocycle.scheme
     pt = _as_point(scheme, point)
     quads = syzygy_quadrics(cocycle)
@@ -308,11 +328,10 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
         raise InputError("membership for the zero class is trivial; rejected")
     direct = all(q.evaluate(pt.coords) == 0 for q in quads.values())
     ctx = project_scheme(scheme, pt)
-    moved = transform_cocycle(cocycle, ctx.matrix, ctx.moved)
-    if not moved.is_cocycle():
-        raise ConsistencyError("transported cocycle failed the cocycle test")
+    gamma = _moved_contraction(ctx, cocycle)
+    if cocycle.p >= 2 and not KoszulCocycle(ctx.moved, cocycle.p - 1, gamma).is_cocycle():
+        raise ConsistencyError("transported contraction failed the cocycle test")
     n = scheme.ring.nvars - 1
-    gamma = contract(ProjectivePoint(scheme.char, (0,) * n + (1,)), moved)
     # the obstruction is gamma's part at var == n
     route_a = all(var != n for _, var in gamma)
     route_b = _route_b_holds(ctx, gamma, cocycle.p)
@@ -322,7 +341,7 @@ def syz_membership(cocycle: KoszulCocycle, point) -> MembershipResult:
             f"direct={direct} route_a={route_a} route_b={route_b} "
             f"point={pt.coords} cocycle={cocycle.to_json_dict()}"
         )
-    return MembershipResult(member=direct, point_on_scheme=scheme.contains(pt.coords))
+    return MembershipResult(member=direct, point_on_scheme=ctx.point_on_scheme)
 
 
 @dataclass
@@ -345,8 +364,9 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
     projected class lives one wedge degree down).  The projected cocycle
     keeps the contraction sign, so its quadrics are literally a subset of
     the source syzygy quadrics in the moved coordinates: it is the
-    contraction of the moved class at the last coordinate point.  Its
-    cocycle condition is tested on the moved scheme: delta of it lies in
+    contraction of the moved class at the last coordinate point, computed
+    as the contraction at the point, transported.  Its cocycle condition
+    is tested on the moved scheme: delta of it lies in
     Lambda^{p-2} V' (x) S'_2, and S'_2/(I_Y)_2 embeds in S_2/(I_moved)_2."""
     scheme = cocycle.scheme
     pt = _as_point(scheme, point)
@@ -355,9 +375,8 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
     if not scheme.contains(pt.coords):
         raise InputError(f"point {pt.coords} is not on the scheme; cannot project the class")
     ctx = project_scheme(scheme, pt)
-    moved = transform_cocycle(cocycle, ctx.matrix, ctx.moved)
+    gamma = _moved_contraction(ctx, cocycle)
     n = scheme.ring.nvars - 1
-    gamma = contract(ProjectivePoint(scheme.char, (0,) * n + (1,)), moved)
     obstruction = {key: c for key, c in gamma.items() if key[1] == n}
     if obstruction:
         raise ConsistencyError(

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzkit import koszul
+from syzkit import cli, koszul
 from syzkit.builders import complete_intersection, rational_normal_curve, scroll
 from syzkit.errors import BudgetError, ConsistencyError, InputError
 from syzkit.exactalg import ReducedRows, SparseRows, rref
@@ -191,6 +194,41 @@ def test_cocycle_basis_twisted_cubic(tc):
     assert len(classes2) == 2
 
 
+def _coordinate_points():
+    """The four coordinate points of P^3: h(1) = h(2) = 4, so delta_{2,0}
+    (16 x 6 entries) is larger than delta_{1,1} (4 x 16)."""
+    ring = PolyRing(32003, ("x0", "x1", "x2", "x3"))
+    ideal = Ideal(ring, [f"x{i}*x{j}" for i in range(4) for j in range(i + 1, 4)])
+    return EmbeddedScheme(ideal)
+
+
+def test_cocycle_bases_are_cached_on_the_scheme():
+    scheme = _coordinate_points()
+    first = k_p1_cocycle_basis(scheme, 1)
+    assert len(first) == koszul_dim(scheme, 1, 1)
+    first.clear()  # each call hands out its own list
+    second = k_p1_cocycle_basis(scheme, 1)
+    third = k_p1_cocycle_basis(scheme, 1)
+    assert second and second is not third
+    assert [c.coeffs for c in second] == [c.coeffs for c in third]
+    # a warm cache still checks the budget of both deltas
+    k_p1_cocycle_basis(scheme, 1, entry_budget=96)
+    for budget, delta in [(63, "delta_(1,1)"), (95, "delta_(2,0)")]:
+        with pytest.raises(BudgetError, match=re.escape(delta)):
+            k_p1_cocycle_basis(scheme, 1, entry_budget=budget)
+
+
+def test_each_cocycle_basis_of_a_suite_is_computed_once(monkeypatch):
+    """`syz verify ep` at seed 0 asks 44 times for the cocycle bases of
+    its 4 instances; the cache on the scheme computes each once."""
+    calls = []
+    kernel = koszul.kernel_basis
+    monkeypatch.setattr(koszul, "kernel_basis", lambda *a: calls.append(1) or kernel(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "ep", "--seed", "0", "--json"]) == 0
+    assert len(calls) == 4
+
+
 def test_cocycle_check_is_exact_at_the_largest_prime():
     # a class plus a random coboundary: its entries are spread over F_p,
     # and with p near 2**31 a row of delta times it sums several products
@@ -216,6 +254,22 @@ def _column_sum_is_zero(cocycle):
         for r, v in columns[idx].items():
             image[r] = image.get(r, 0) + c * v
     return not any(v % cocycle.scheme.char for v in image.values())
+
+
+def _delta_by_terms(cocycle):
+    """delta_{p,1} of the tensor, summed term by term: sign * c *
+    NF(x_i * x_var) over each coefficient and each index i of its wedge,
+    with NF from `Ideal.normal_form`.  Returned without its zero entries."""
+    scheme = cocycle.scheme
+    ring = scheme.ring
+    image: dict = {}
+    for (wedge, var), c in cocycle.coeffs.items():
+        for k, i in enumerate(wedge):
+            nf = scheme.ideal.normal_form(ring.var(i) * ring.var(var))
+            for m, v in nf.terms.items():
+                key = (wedge[:k] + wedge[k + 1 :], m)
+                image[key] = image.get(key, 0) + removal_sign(k) * c * v
+    return {key: r for key, v in image.items() if (r := v % scheme.char)}
 
 
 _COCYCLE_SCHEMES = {
@@ -249,9 +303,15 @@ def test_is_cocycle_matches_the_full_columns(name, p, closed, seed):
         width = len(exterior_basis(scheme.ring.nvars, p)) * scheme.ring.nvars
         vec = {rng.randrange(width): rng.randrange(1, char) for _ in range(rng.randint(1, 6))}
     tensor = KoszulCocycle.from_vector(scheme, p, vec)
-    assert tensor.is_cocycle() == _column_sum_is_zero(tensor)
+    assert tensor.is_cocycle() == _column_sum_is_zero(tensor) == (_delta_by_terms(tensor) == {})
     if closed:
         assert tensor.is_cocycle()
+        # one coefficient moved off the cocycle
+        key = rng.randrange(len(exterior_basis(scheme.ring.nvars, p)) * scheme.ring.nvars)
+        vec[key] = vec.get(key, 0) + rng.randrange(1, char)
+        perturbed = KoszulCocycle.from_vector(scheme, p, vec)
+        assert perturbed.is_cocycle() == (_delta_by_terms(perturbed) == {})
+        assert not perturbed.is_cocycle()
 
 
 def test_cocycle_vector_round_trip(tc):

@@ -787,6 +787,37 @@ def test_moved_drl_bases_are_derived_without_buchberger(nvars, p, seed):
     assert _basis_items(got) == _basis_items(buchberger([g.terms for g in other.gens], DRL, p))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["random", "moved", "eliminated"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nf_times_var_equals_the_normal_form(nvars, p, kind, seed):
+    """A product that is a lead of the reduced DRL basis is looked up, not
+    reduced: its normal form must still be the one the heap reduction
+    gives, term for term and in the same order, for every product of
+    degree up to 3, on a random ideal, a moved one that derives its basis
+    from the source, and an elimination that carries its basis over."""
+    rng = random.Random(seed)
+    extra = kind == "eliminated"
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars + extra)))
+    degrees = [rng.choice((2, 2, 3)) for _ in range(rng.randint(1, 4))]
+    ideal = Ideal(ring, _random_gens(ring, rng, degrees, rng.randint(1, 5)))
+    if kind == "moved":
+        ideal.groebner()
+        ideal = ideal.change_coordinates(_upper_triangular(rng, nvars, p))
+    elif kind == "eliminated":
+        ideal = ideal.change_coordinates(_invertible(rng, nvars + 1, p)).eliminate((nvars,))
+    for d in range(3):
+        for mono in ideal.ring.monomials_of_degree(d):
+            for var in range(nvars):
+                product = tuple(e + (i == var) for i, e in enumerate(mono))
+                expected = ideal.normal_form(ideal.ring.monomial(product)).terms
+                assert list(ideal.nf_times_var(mono, var).items()) == list(expected.items())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 5),

@@ -1,10 +1,10 @@
-"""The projection suites against the benchmark's reference digests.
+"""The geometry suites against the benchmark's reference digests.
 
-`syz verify aprodu-proj`, `reconstruct` and `inc-syz` run in-process at
-seed 0, through the benchmark's own `Runner`, and each report's digest
-outside `timings` must equal the one in `bench/reference_digests.json`.
-So a change to what these suites report fails here, without a benchmark
-run.  Nothing under `bench/` is written."""
+The seven `syz verify` suites of the `geometry-suites` workload run
+in-process at seed 0, through the benchmark's own `Runner`, and each
+report's digest outside `timings` must equal the one in
+`bench/reference_digests.json`.  So a change to what these suites report
+fails here, without a benchmark run.  Nothing under `bench/` is written."""
 
 import json
 from pathlib import Path
@@ -24,7 +24,18 @@ def workloads(monkeypatch):
     return workloads
 
 
-@pytest.mark.parametrize("suite", ["aprodu-proj", "reconstruct", "inc-syz"])
+@pytest.mark.parametrize(
+    "suite",
+    [
+        "aprodu-proj",
+        "reconstruct",
+        "inc-syz",
+        "ep",
+        "green-small",
+        "nodal-iso",
+        "schreyer-converse",
+    ],
+)
 def test_projection_suite_matches_its_reference_digest(workloads, suite):
     cid = f"verify {suite}"
     reference = json.loads((BENCH / "reference_digests.json").read_text())["geometry-suites"]

@@ -18,7 +18,14 @@ P^3 with ideal generated by the 2x2 minors of [[x0,x1,x2],[x1,x2,x3]]:
 import numpy as np
 import pytest
 
-from syzkit.builders import rational_normal_curve, scroll
+from syzkit.builders import (
+    adjoint_system,
+    model_image,
+    nodal_quintic,
+    rational_normal_curve,
+    sample_points,
+    scroll,
+)
 from syzkit.errors import ConsistencyError, InputError
 from syzkit.exactalg import SparseRows, kernel_basis
 from syzkit.koszul import (
@@ -32,6 +39,7 @@ from syzkit.koszul import (
 from syzkit.polyring import BlockOrder, EmbeddedScheme, Ideal, PolyRing
 from syzkit.syzgeo import (
     ProjectivePoint,
+    _moved_contraction,
     _projected_cocycles,
     _route_b_holds,
     contract,
@@ -380,6 +388,45 @@ def _points_on_and_off(scheme):
     points = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
     points += [(1,) * nv, tuple(range(1, nv + 1))]
     return points, sum(scheme.contains(coords) for coords in points)
+
+
+def _trigonal_g5(char):
+    one_node = nodal_quintic(1, char, seed=0)
+    return model_image(one_node, adjoint_system(one_node, 2))
+
+
+# (builder, the wedge degrees p of the classes to transport)
+_TRANSPORT_INSTANCES = {
+    "rnc 2": (lambda char: rational_normal_curve(2, char), (1,)),
+    "rnc 3": (lambda char: rational_normal_curve(3, char), (1, 2)),
+    "rnc 4": (lambda char: rational_normal_curve(4, char), (1, 2, 3)),
+    "scroll 1 2": (lambda char: scroll((1, 2), char), (2,)),
+    "trigonal-g5": (_trigonal_g5, (2,)),
+}
+
+
+@pytest.mark.parametrize("char", [2, 3, CHAR])
+@pytest.mark.parametrize("name", sorted(_TRANSPORT_INSTANCES))
+def test_transported_contraction_is_the_moved_class_contracted(name, char):
+    """The move matrix has the point as its last column, so contracting
+    the moved class at the last coordinate point equals contracting at the
+    point and transporting, coefficient for coefficient.  The coordinate
+    points have their last coordinate 0, so their move permutes."""
+    build, wedge_degrees = _TRANSPORT_INSTANCES[name]
+    scheme = build(char)
+    n = scheme.ring.nvars - 1
+    last = ProjectivePoint.make(char, (0,) * n + (1,))
+    points = _points_on_and_off(scheme)[0] + [pt.coords for pt in sample_points(scheme, 1, seed=3)]
+    assert 0 < sum(scheme.contains(coords) for coords in points) < len(points)
+    contexts = [project_scheme(scheme, coords) for coords in points]
+    assert any(ctx.point.coords[n] == 0 for ctx in contexts)
+    for p in wedge_degrees:
+        classes = k_p1_cocycle_basis(scheme, p)
+        assert classes
+        for alpha in classes:
+            for ctx in contexts:
+                reference = contract(last, transform_cocycle(alpha, ctx.matrix, ctx.moved))
+                assert _moved_contraction(ctx, alpha) == reference
 
 
 @pytest.mark.parametrize("char", [2, 3, CHAR])
