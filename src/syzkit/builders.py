@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ConsistencyError, InputError
+from .errors import BudgetError, ConsistencyError, InputError
 from .exactalg import (
     DEFAULT_CHAR,
     SparseRows,
@@ -22,8 +22,30 @@ from .exactalg import (
     kernel_basis,
     rank as matrix_rank,
 )
+from .koszul import DEFAULT_ENTRY_BUDGET
 from .polyring import EmbeddedScheme, Ideal, PolyRing, Polynomial
 from .syzgeo import ProjectivePoint
+
+# The most generator terms a builder may write: two per 2x2 minor of a
+# scroll, one per coefficient a complete intersection draws.  A recipe that
+# asks for more ends in BudgetError before anything is made, whatever
+# --entry-budget says.  Measured on a shared 2-core x86-64 host under a
+# 3 GB address-space cap: at the bound, `syz betti "rnc 45"` (990 minors)
+# builds and then fails the default Koszul budget in about 27 s at a peak
+# of about 55 MB, and "ci 16 16" (1938 coefficients) runs in 1.6 s at
+# 46 MB; "ci 90 90" passed 600 MB within 20 s, and "rnc 99999" was killed
+# for memory.
+GENERATOR_BUDGET = DEFAULT_ENTRY_BUDGET // 8000
+
+
+def _check_generator_size(terms: int, what: str) -> None:
+    """BudgetError when `terms`, the generator terms a builder would
+    write, is over GENERATOR_BUDGET."""
+    if terms > GENERATOR_BUDGET:
+        raise BudgetError(
+            f"{what} would write {terms} generator terms, over the builders' "
+            f"bound of {GENERATOR_BUDGET}"
+        )
 
 
 def seeded_rng(seed):
@@ -57,11 +79,21 @@ def scroll(e, char: int = DEFAULT_CHAR) -> EmbeddedScheme:
 
     Coordinates are x{i}_{j} for block i, 0 <= j <= e_i (plain x0..xn for a
     single block).  The attached parametrization sends (u_1..u_f, s, t) to
-    x_i_j = u_i * s^(e_i - j) * t^j."""
+    x_i_j = u_i * s^(e_i - j) * t^j.
+
+    The minors' Groebner basis is computed with the series of
+    `scroll_hilbert` as its Hilbert floor (see `polyring.buchberger`):
+    the Eagon-Northcott complex resolves the ideal of maximal minors of a
+    2 x d matrix of linear forms whenever it has the expected codimension
+    d - 1, over any field, so the closed form is the exact Hilbert
+    function in every characteristic.  The values in degrees 1 and 2 are
+    still checked against the computed ones."""
     e = tuple(int(v) for v in e)
     if not e or any(v < 1 for v in e):
         raise InputError(f"scroll type must be a tuple of positive integers, got {e}")
     f = len(e)
+    d = sum(e)
+    _check_generator_size(2 * comb(d, 2), f"scroll {e}")
     if f == 1:
         names = tuple(f"x{j}" for j in range(e[0] + 1))
     else:
@@ -89,9 +121,16 @@ def scroll(e, char: int = DEFAULT_CHAR) -> EmbeddedScheme:
             top_a, bot_a = cols[a]
             top_b, bot_b = cols[b]
             gens.append(mono(top_a, bot_b) - mono(top_b, bot_a))
+    # scroll_hilbert as a series, (1 + (d-1)t) / (1-t)^(f+1), written over
+    # (1-t)^nvars with nvars = f + d
+    floor = [1, d - 1] if d > 1 else [1]
+    for _ in range(d - 1):
+        floor = [a - b for a, b in zip(floor + [0], [0] + floor)]
+    ideal = Ideal(ring, gens)
+    ideal._floor = floor
     scheme = EmbeddedScheme(
-        Ideal(ring, gens),
-        labels={"kind": "scroll", "type": e, "degree": sum(e), "dim": f},
+        ideal,
+        labels={"kind": "scroll", "type": e, "degree": d, "dim": f},
     )
     for m in (1, 2):
         got = scheme.hilbert_function(m)
@@ -224,6 +263,9 @@ def complete_intersection(degrees, char: int = DEFAULT_CHAR, seed: int = 0) -> E
     if any(d < 2 for d in degrees):
         raise InputError("complete_intersection needs every degree >= 2")
     nv = len(degrees) + 2
+    _check_generator_size(
+        sum(comb(d + nv - 1, nv - 1) for d in degrees), f"complete intersection {degrees}"
+    )
     ring = PolyRing(char, tuple(f"x{i}" for i in range(nv)))
     rng = seeded_rng(seed)
     expected_degree = 1

@@ -23,12 +23,15 @@ Diff. Geom. 1984).  If a linear form h is a nonzerodivisor on S, then S
 over R and S/hS over R/(h) have the same graded Betti numbers, and so
 does a regular sequence h_1..h_k, one form at a time.  `artinian_reduction`
 cuts S by the forms x_{keep+j} - l_j(x_0..x_{keep-1}), keep = nvars - k,
-and certifies the cut by the Hilbert series: the forms are a regular
+substituting l_j for x_{keep+j} straight into the keep variables, and
+certifies the cut by the Hilbert series: the forms are a regular
 sequence on S exactly when HS(S/(h)S) = (1-t)^k HS(S), that is, when the
 cut ideal in keep variables has the Hilbert numerator of I.  k starts at
 the Krull dimension of S, so a Cohen-Macaulay S cut by general enough
 forms becomes Artinian, and drops by one each time the certificate
-fails, down to k = 0, which is S.
+fails, down to k = 0, which is S.  The cut's basis is computed with the
+zero series as its Hilbert floor, so an Artinian cut reduces no S-pair
+from the first degree its leads fill.
 `koszul_dim`, and so `betti_table`, reads the reduction; `koszul_rank`,
 the cocycles and the two independent routes read S.
 
@@ -193,21 +196,25 @@ def artinian_reduction(scheme: EmbeddedScheme) -> EmbeddedScheme:
     cached on the scheme.
 
     For k from the Krull dimension of S (capped at nvars - 1, so one
-    variable is always kept) down to 1, with keep = nvars - k: substitute
-    x_{keep+j} -> x_{keep+j} + l_j(x_0..x_{keep-1}) by a lower-unitriangular
-    matrix, then set the last k variables to zero.  That restricts I to
-    x_{keep+j} = l_j, where
+    variable is always kept) down to 1, with keep = nvars - k: restrict I
+    to x_{keep+j} = l_j(x_0..x_{keep-1}) by substituting straight into the
+    kept variables (`Ideal.restrict`), x_v -> x_v for v < keep and
+    x_{keep+j} -> l_j, where
 
         l_j = sum_{v < keep} (j + 1)^(v + 1) x_v,   j = 0..k-1,
 
     so l_0 is the sum of the kept variables at every prime, and at keep = 1
-    the cut is the point (1, 1, 2, ..., k).  The first k whose cut ideal
+    the cut is the point (1, 1, 2, ..., k).  Coefficients are taken mod p,
+    so over F_2 every l_j with j odd is 0.  The first k whose cut ideal
     has the Hilbert numerator of I is taken: equal numerators mean the k
     forms x_{keep+j} - l_j are a regular sequence on S.  A pattern that
-    fails only lowers k, down to S itself (k = 0).  The cut ideal's basis
-    is computed without a Hilbert target: its numerator is what is being
-    certified.  When S is Cohen-Macaulay and the forms are general enough,
-    the section is Artinian; otherwise k is at most the depth of S.
+    fails only lowers k, down to S itself (k = 0).  The cut ideal's
+    numerator is what is being certified, so its basis is computed with
+    the zero series as its Hilbert floor, which holds for every ideal:
+    `buchberger` drops every pair from the first degree in which the
+    leads cover all monomials, which an Artinian cut reaches just past its
+    socle degree.  When S is Cohen-Macaulay and the forms are general
+    enough, the section is Artinian; otherwise k is at most the depth of S.
     """
     got = scheme._reduction
     if got is not None:
@@ -216,16 +223,13 @@ def artinian_reduction(scheme: EmbeddedScheme) -> EmbeddedScheme:
     ring, ideal = scheme.ring, scheme.ideal
     nv, char = ring.nvars, ring.char
     numerator = ideal.hilbert_series_numerator()
-    for k in range(min(scheme.hilbert_data().dimension + 1, nv - 1), 0, -1):
+    for k in range(min(ideal.krull_dimension(), nv - 1), 0, -1):
         keep = nv - k
-        matrix = [[int(i == j) for j in range(nv)] for i in range(nv)]
-        for j in range(k):
-            matrix[keep + j][:keep] = [pow(j + 1, v + 1, char) for v in range(keep)]
         small = PolyRing(ring.field, ring.names[:keep])
-        cut = Ideal(small, [
-            Polynomial(small, {m[:keep]: c for m, c in g.terms.items() if not any(m[keep:])})
-            for g in ideal.change_coordinates(matrix).gens
-        ])
+        matrix = [[int(i == v) for v in range(keep)] for i in range(keep)]
+        matrix += [[pow(j + 1, v + 1, char) for v in range(keep)] for j in range(k)]
+        cut = ideal.restrict(small, matrix)
+        cut._floor = [0]
         if cut.hilbert_series_numerator() == numerator:
             got = EmbeddedScheme(cut)
             break
@@ -503,17 +507,6 @@ def k_p1_cocycle_basis(
     return list(got)
 
 
-def cocycle_class_is_zero(cocycle: KoszulCocycle, entry_budget: int | None = None) -> bool:
-    """Does the cocycle represent the zero cohomology class?"""
-    from .exactalg import in_span
-
-    scheme = cocycle.scheme
-    if not cocycle.coeffs:
-        return True
-    cob = coboundary_rows(scheme, cocycle.p, entry_budget)
-    return in_span(cocycle.to_vector(), cob.transpose(), scheme.char)
-
-
 # ---------------------------------------------------------------------------
 # independent route: the quadratic strand from the ideal itself
 
@@ -619,7 +612,10 @@ def certified_regularity(ideal: Ideal, lo: int, hi: int) -> int | None:
     (R/I)_m / J_m to (R/I)_{m+1} / J_{m+1}: adding the rows h_i * u, u in
     degree m, raises the rank of J_{m+1} by dim (R/I)_m - dim J_m.  The
     second says J_m, with h_j in it, is all of (R/I)_m.  The rows come
-    from the cached x_v * u, and each degree keeps one growing pivot set.
+    from the cached x_v * u.  J_d with the first i forms is the same span
+    whether it serves as J_{m+1} at m = d - 1 or as J_m at m = d, so each
+    degree keeps one growing pivot set and the rank after each prefix of
+    forms, and each span is built once.
     """
     char = ideal.ring.char
     nv = ideal.ring.nvars
@@ -645,20 +641,24 @@ def certified_regularity(ideal: Ideal, lo: int, hi: int) -> int | None:
             rows.append({k: r for k, c in row.items() if (r := c % char)})
         return SparseRows(rows, len(index))
 
+    # degree d -> the pivots of J_d, and dim J_d with the first i forms at [i]
+    pivots: dict[int, dict] = {}
+    dims: dict[int, list[int]] = {}
+
+    def dim_j(d: int, i: int) -> int:
+        got = dims.setdefault(d, [0])
+        while len(got) <= i:
+            got.append(rank(times(forms[len(got) - 1], d - 1), char, pivots.setdefault(d, {})))
+        return got[i]
+
     for m in range(lo, hi + 1):
         full = ideal.hilbert_function(m)
-        # the pivots of J_m and J_{m+1}
-        low: dict = {}
-        high: dict = {}
-        for h in forms:
-            if len(low) == full:
+        for i in range(nv + 1):
+            if dim_j(m, i) == full:
+                return m
+            # h_{i+1} injective on (R/I)_m / J_m
+            if i == nv or dim_j(m + 1, i + 1) - dim_j(m + 1, i) != full - dim_j(m, i):
                 break
-            before = len(high)
-            if rank(times(h, m), char, high) - before != full - len(low):
-                break
-            rank(times(h, m - 1), char, low)
-        if len(low) == full:
-            return m
     return None
 
 

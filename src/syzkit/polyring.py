@@ -158,13 +158,13 @@ def _mul_dict(f: dict, g: dict, p: int) -> dict:
     return out
 
 
-def _linear_images(a: list[list[int]]) -> tuple[list, dict]:
-    """The substitution x_i -> sum_j a[i][j] x_j as (forms, images):
-    forms[i] lists the (j, a[i][j]) with a[i][j] nonzero, and `images` is
-    the table of monomial images for `_substitute`, holding only 1 -> 1."""
-    one = (0,) * len(a)
+def _linear_images(a: list[list[int]], width: int) -> tuple[list, dict]:
+    """The substitution x_i -> sum_j a[i][j] y_j, one row of `a` per x_i
+    and `width` columns, one per y_j, as (forms, images): forms[i] lists
+    the (j, a[i][j]) with a[i][j] nonzero, and `images` is the table of
+    monomial images for `_substitute`, holding only 1 -> 1."""
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in a]
-    return forms, {one: {one: 1}}
+    return forms, {(0,) * len(a): {(0,) * width: 1}}
 
 
 def _substitute(terms: dict, forms: list, images: dict, p: int) -> dict:
@@ -200,11 +200,11 @@ def _substitute(terms: dict, forms: list, images: dict, p: int) -> dict:
     return out
 
 
-def _square_rows(matrix, n: int, p: int, what: str) -> list[list[int]]:
-    """An n x n matrix as int rows reduced mod p; InputError otherwise."""
+def _matrix_rows(matrix, n: int, m: int, p: int, what: str) -> list[list[int]]:
+    """An n x m matrix as int rows reduced mod p; InputError otherwise."""
     a = [[int(v) % p for v in row] for row in matrix]
-    if len(a) != n or any(len(row) != n for row in a):
-        raise InputError(f"{what} must be {n}x{n}")
+    if len(a) != n or any(len(row) != m for row in a):
+        raise InputError(f"{what} must be {n}x{m}")
     return a
 
 
@@ -534,8 +534,8 @@ class Polynomial:
         degrevlex, since moving a factor x_i to a later x_j lowers a
         monomial: the substitution keeps every lead."""
         ring = self.ring
-        a = _square_rows(matrix, ring.nvars, ring.char, "substitution matrix")
-        return Polynomial(ring, _substitute(self.terms, *_linear_images(a), ring.char))
+        a = _matrix_rows(matrix, ring.nvars, ring.nvars, ring.char, "substitution matrix")
+        return Polynomial(ring, _substitute(self.terms, *_linear_images(a, ring.nvars), ring.char))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +650,14 @@ def buchberger(
     must be a proven floor.  `Ideal._groebner_entry` passes the exact
     numerator, from cached DRL leads or across a change of coordinates
     (which keeps the Hilbert function), and otherwise the ideal's floor
-    if it has one (see `builders.complete_intersection`).  A change that
+    if it has one (see `builders.complete_intersection` and
+    `builders.scroll`).  The zero series, [0], is a floor of every
+    Hilbert function: with it a degree stops once the leads cover all of
+    its monomials, and then they cover every later degree too, so every
+    pair from there on is dropped.  `koszul.artinian_reduction` sets it
+    on its cuts, which it expects to be Artinian; on a positive-dimensional
+    ideal it never stops a degree and only costs the growing of the
+    monomials outside the leads, so it is no default.  A change that
     sends each x_i into span(x_i, ..., x_n) keeps every DRL lead as well,
     since moving a factor x_i to a later x_j lowers a monomial in
     degrevlex; that moved DRL basis is derived from the source basis
@@ -855,6 +862,20 @@ class HilbertData:
         if v.denominator != 1:
             raise ConsistencyError(f"Hilbert polynomial non-integral at {d}: {v}")
         return int(v)
+
+
+def _cancel_one_minus_t(num: list[int]) -> tuple[list[int], int]:
+    """(h, s) with num = (1-t)^s h and h(1) != 0, for a nonzero numerator."""
+    s = 0
+    while sum(num) == 0:
+        acc = 0
+        quot = []
+        for c in num[:-1]:
+            acc += c
+            quot.append(acc)
+        num = quot if quot else [0]
+        s += 1
+    return num, s
 
 
 def _poly_from_binomials(numer: list[int], dim_plus1: int) -> tuple[Fraction, ...]:
@@ -1110,17 +1131,7 @@ class Ideal:
             data = HilbertData(-1, 0, (Fraction(0),))
             self._hilbert = data
             return data
-        # cancel (1 - t)^s
-        s = 0
-        reduced = list(num)
-        while sum(reduced) == 0:
-            acc = 0
-            quot = []
-            for c in reduced[:-1]:
-                acc += c
-                quot.append(acc)
-            reduced = quot if quot else [0]
-            s += 1
+        reduced, s = _cancel_one_minus_t(num)
         D = nv - s  # Krull dimension of R/I
         if D <= 0:
             data = HilbertData(-1, 0, (Fraction(0),))
@@ -1147,6 +1158,14 @@ class Ideal:
                 )
         self._hilbert = data
         return data
+
+    def krull_dimension(self) -> int:
+        """dim R/I, read off the Hilbert numerator alone: nvars less the
+        power of 1 - t that divides it, and -1 for the unit ideal.  Unlike
+        `hilbert_data`, it builds no Hilbert polynomial and samples no
+        Hilbert function."""
+        num = self.hilbert_series_numerator()
+        return self.ring.nvars - _cancel_one_minus_t(num)[1] if any(num) else -1
 
     # -- ideal operations ----------------------------------------------------
 
@@ -1264,10 +1283,10 @@ class Ideal:
         that `buchberger` would return."""
         n = self.ring.nvars
         p = self.ring.char
-        a = _square_rows(matrix, n, p, "coordinate change")
+        a = _matrix_rows(matrix, n, n, p, "coordinate change")
         if matrix_rank(a, p) != n:
             raise InputError("coordinate change matrix is singular")
-        forms, images = _linear_images(a)
+        forms, images = _linear_images(a, n)
         out = Ideal(
             self.ring,
             [Polynomial(self.ring, _substitute(g.terms, forms, images, p)) for g in self.gens],
@@ -1277,6 +1296,22 @@ class Ideal:
             if all(a[i][i] and not any(a[i][:i]) for i in range(n)):
                 out._moved_from = (self._gb[DRL.name][0], forms, images)
         return out
+
+    def restrict(self, ring: PolyRing, matrix) -> "Ideal":
+        """The restriction of this ideal to a linear subspace, in the
+        coordinates y_0..y_{k-1} of `ring`: substitute x_i -> sum_j
+        matrix[i][j] y_j in every generator, with one row of the matrix
+        per variable x_i and one column per y_j.  Entries that are 0 mod p
+        drop out of the forms, and all generators share one table of
+        monomial images (`_substitute`).  Unlike `change_coordinates`, the
+        map need not be invertible, so nothing about the result's
+        Groebner basis or Hilbert series is carried over."""
+        p = self.ring.char
+        if ring.char != p:
+            raise InputError("restriction to a ring over a different field")
+        a = _matrix_rows(matrix, self.ring.nvars, ring.nvars, p, "restriction matrix")
+        forms, images = _linear_images(a, ring.nvars)
+        return Ideal(ring, [Polynomial(ring, _substitute(g.terms, forms, images, p)) for g in self.gens])
 
 
 # ---------------------------------------------------------------------------

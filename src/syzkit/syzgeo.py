@@ -372,9 +372,13 @@ def project_class(cocycle: KoszulCocycle, point) -> ProjectedClass:
     pt = _as_point(scheme, point)
     if cocycle.p < 2:
         raise InputError("projection needs wedge degree p >= 2")
-    if not scheme.contains(pt.coords):
+    # `contains` evaluates a point of the wrong length on the coordinates
+    # it has; only one that passes meets project_scheme's count check
+    ctx = None
+    if len(pt.coords) == scheme.ring.nvars or scheme.contains(pt.coords):
+        ctx = project_scheme(scheme, pt)
+    if ctx is None or not ctx.point_on_scheme:
         raise InputError(f"point {pt.coords} is not on the scheme; cannot project the class")
-    ctx = project_scheme(scheme, pt)
     gamma = _moved_contraction(ctx, cocycle)
     n = scheme.ring.nvars - 1
     obstruction = {key: c for key, c in gamma.items() if key[1] == n}

@@ -35,7 +35,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzkit import builders
 from syzkit.builders import (
+    GENERATOR_BUDGET,
     PlaneModel,
     _roots_mod_p,
     adjoint_system,
@@ -55,8 +57,8 @@ from syzkit.builders import (
     scroll_types,
     validate_plane_model,
 )
-from syzkit.errors import ConsistencyError, InputError
-from syzkit.koszul import betti_table, koszul_dim
+from syzkit.errors import BudgetError, ConsistencyError, InputError
+from syzkit.koszul import DEFAULT_ENTRY_BUDGET, betti_table, koszul_dim
 from syzkit.polyring import Ideal, Polynomial, PolyRing
 from syzkit.syzgeo import ProjectivePoint
 
@@ -152,6 +154,39 @@ def test_scroll_corpus_enumeration():
     assert all(sum(t) <= 5 and len(t) <= 3 for t in types)
     assert all(t == tuple(sorted(t, reverse=True)) for t in types)
     assert len(set(types)) == 15
+
+
+@pytest.mark.parametrize("char", [2, 3, 32003])
+def test_scroll_floor_is_the_computed_numerator(char):
+    # the closed form, (1 + (d-1)t)(1-t)^(d-1), against the numerator of a
+    # basis computed without it
+    for e in scroll_types(max_degree=8, max_dim=8):
+        s = scroll(e, char)
+        assert s.ideal._floor == Ideal(s.ring, s.ideal.gens).hilbert_series_numerator(), e
+        assert s.ideal.hilbert_series_numerator() == s.ideal._floor, e
+
+
+def test_generator_size_rule(monkeypatch):
+    # two terms per 2x2 minor of a scroll, one per coefficient a complete
+    # intersection draws; the bound does not read any Koszul budget
+    assert GENERATOR_BUDGET == DEFAULT_ENTRY_BUDGET // 8000 == 2000
+    with pytest.raises(BudgetError, match="scroll \\(46,\\) would write 2070 generator terms"):
+        rational_normal_curve(46)  # 2 * C(46, 2); rnc 45 writes 1980
+    with pytest.raises(BudgetError, match="scroll \\(23, 23\\) would write 2070 "):
+        scroll((23, 23))
+    with pytest.raises(BudgetError, match="\\(17, 17\\) would write 2280 "):
+        complete_intersection((17, 17))  # 2 * C(17 + 3, 3); (16, 16) draws 1938
+    # at the bound itself a recipe builds
+    monkeypatch.setattr(builders, "GENERATOR_BUDGET", 2 * 6)
+    rational_normal_curve(4)
+    scroll((2, 2))
+    with pytest.raises(BudgetError, match="would write 20 "):
+        rational_normal_curve(5)
+    monkeypatch.setattr(builders, "GENERATOR_BUDGET", 10 + 20)
+    complete_intersection((2, 3))
+    monkeypatch.setattr(builders, "GENERATOR_BUDGET", 10 + 20 - 1)
+    with pytest.raises(BudgetError, match="\\(2, 3\\) would write 30 "):
+        complete_intersection((2, 3))
 
 
 def test_sample_points_land_on_scroll():

@@ -14,6 +14,7 @@ output are exactly what a shell user sees.  Oracles:
 
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -26,6 +27,7 @@ import pytest
 import syzkit.cli as cli
 from syzkit.builders import en_betti
 from syzkit.cli import main
+from syzkit.polyring import EmbeddedScheme
 
 TC_TEXT = """\
 # twisted cubic
@@ -498,6 +500,41 @@ def test_build_plane_model_recipe(capsys, tmp_path):
 def test_bad_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_oversized_recipe_ends_in_budget_error_under_a_memory_cap():
+    # rnc 99999 asks for about 1e10 generator terms; under a 1 GB
+    # address space the refusal must come before any of them is made, as
+    # exit 2, not as a MemoryError or the OOM killer
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "syzkit.cli", "betti", "rnc 99999", "--entry-budget", str(10**15)],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: scroll (99999,) would write ")
+    assert "generator terms, over the builders' bound of 2000" in done.stderr
+
+
+def test_reconstruct_tests_each_point_on_the_scheme_three_times(capsys, monkeypatch):
+    # the CLI's sampling, reconstruct_from_projections and project_scheme
+    # each ask once per point; project_class reads project_scheme's answer
+    calls = []
+    real = EmbeddedScheme.contains
+
+    def counted(self, coords):
+        calls.append(tuple(coords))
+        return real(self, coords)
+
+    monkeypatch.setattr(EmbeddedScheme, "contains", counted)
+    assert main(["reconstruct", "rnc 4", "--p", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 15 and len(set(calls)) == 5
 
 
 def test_betti_budget_counts_the_cut_matrix(capsys):

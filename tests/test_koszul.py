@@ -12,16 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzkit import cli, koszul
-from syzkit.builders import complete_intersection, rational_normal_curve, scroll
+from syzkit.builders import (
+    adjoint_system,
+    complete_intersection,
+    model_image,
+    nodal_quintic,
+    rational_normal_curve,
+    scroll,
+)
 from syzkit.errors import BudgetError, ConsistencyError, InputError
-from syzkit.exactalg import ReducedRows, SparseRows, rref
+from syzkit.exactalg import ReducedRows, SparseRows, in_span, rank, rref
 from syzkit.koszul import (
     BettiTable,
     KoszulCocycle,
     artinian_reduction,
     betti_table,
     certified_regularity,
-    cocycle_class_is_zero,
     coboundary_rows,
     exterior_basis,
     k_p1_cocycle_basis,
@@ -64,6 +70,16 @@ def ci23():
         ],
     )
     return EmbeddedScheme(ideal, labels={"kind": "ci", "degrees": (2, 3)})
+
+
+def cocycle_class_is_zero(cocycle: KoszulCocycle) -> bool:
+    """Does the cocycle represent the zero cohomology class?  It does when
+    it lies in the span of the coboundaries."""
+    scheme = cocycle.scheme
+    if not cocycle.coeffs:
+        return True
+    cob = coboundary_rows(scheme, cocycle.p)
+    return in_span(cocycle.to_vector(), cob.transpose(), scheme.char)
 
 
 def test_removal_sign():
@@ -493,6 +509,80 @@ def test_certificate_refuses_below_the_regularity(ci23):
         assert certified_regularity(ideal, 3, 6) == 4
 
 
+def _regularity_rebuilding_each_span(ideal, lo, hi):
+    """`certified_regularity` as it was before each degree's span was kept
+    across m: J_m and J_{m+1} are built afresh at every m."""
+    char = ideal.ring.char
+    nv = ideal.ring.nvars
+    forms = [[pow(i + 2, v, char) for v in range(nv)] for i in range(1, nv + 1)]
+
+    def times(h, d):
+        index = ideal.standard_index(d + 1)
+        rows = []
+        for u in ideal.standard_monomials(d):
+            row = {}
+            for v in range(nv):
+                for mono, c in ideal.nf_times_var(u, v).items():
+                    row[index[mono]] = (row.get(index[mono], 0) + h[v] * c) % char
+            rows.append({k: c for k, c in row.items() if c})
+        return SparseRows(rows, len(index))
+
+    for m in range(lo, hi + 1):
+        full = ideal.hilbert_function(m)
+        low, high = {}, {}
+        for h in forms:
+            if len(low) == full:
+                break
+            before = len(high)
+            if rank(times(h, m), char, high) - before != full - len(low):
+                break
+            rank(times(h, m - 1), char, low)
+        if len(low) == full:
+            return m
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.sampled_from([2, 3, 32003]),
+    st.sampled_from(["forms", "monomials", "ci"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_regularity_matches_rebuilding_each_span(nvars, p, kind, seed):
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
+    gens = []
+    for d in degrees:
+        monos = ring.monomials_of_degree(d)
+        if kind == "monomials":
+            gens.append(ring.monomial(rng.choice(monos)))
+        else:
+            picks = monos if kind == "ci" else rng.sample(monos, min(3, len(monos)))
+            gens.append(ring.from_terms({m: rng.randrange(1, p) for m in picks}))
+    ideal = Ideal(ring, gens[: nvars - 1] if kind == "ci" else gens)
+    lo = max(degrees)
+    for hi in (lo, lo + 2, 2 * lo + 4):
+        assert certified_regularity(ideal, lo, hi) == _regularity_rebuilding_each_span(ideal, lo, hi)
+
+
+def test_certified_regularity_matches_rebuilding_each_span_on_refused_f2_ideal():
+    # the ideal of test_refused_certificate_keeps_the_truncation_flag
+    ring = PolyRing(2, ("x0", "x1", "x2", "x3"))
+    ideal = Ideal(
+        ring,
+        [
+            "x1^2*x2 + x1^2*x3 + x2*x3^2",
+            "x0^2*x3 + x0*x3^2 + x2*x3^2",
+            "x0^2*x2 + x2^3 + x0*x2*x3",
+        ],
+    )
+    for lo, hi in ((3, 3), (3, 6), (3, 12)):
+        assert certified_regularity(ideal, lo, hi) is None
+        assert _regularity_rebuilding_each_span(ideal, lo, hi) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 4),
@@ -675,6 +765,7 @@ def test_reduction_keeps_the_betti_table(nvars, p, kind, seed):
     )
     cut = artinian_reduction(scheme)
     krull = scheme.hilbert_data().dimension + 1
+    assert scheme.ideal.krull_dimension() == krull
     assert nvars - min(krull, nvars - 1) <= cut.ring.nvars <= nvars
     assert cut.ideal.hilbert_series_numerator() == scheme.ideal.hilbert_series_numerator()
 
@@ -711,6 +802,68 @@ def test_skew_lines_are_cut_by_one_form(char):
     table = betti_table(scheme, 4, 3)
     assert table.entries == {(0, 0): 1, (1, 1): 4, (2, 1): 4, (3, 1): 1}
     assert table.entries == _table_on_the_ring_itself(ideal, 4, 3).entries
+
+
+def _cut_by_change_of_coordinates(ideal, keep):
+    """The cut of `artinian_reduction` as it was computed before it
+    substituted into the kept variables: x_{keep+j} -> x_{keep+j} + l_j by
+    an n x n lower-unitriangular change, then every term in x_keep.. dropped."""
+    ring = ideal.ring
+    nv, char = ring.nvars, ring.char
+    matrix = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    for j in range(nv - keep):
+        matrix[keep + j][:keep] = [pow(j + 1, v + 1, char) for v in range(keep)]
+    return [
+        {m[:keep]: c for m, c in g.terms.items() if not any(m[keep:])}
+        for g in ideal.change_coordinates(matrix).gens
+    ]
+
+
+def _cut_instances(char):
+    for e in ((3,), (4,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1), (2, 2, 2)):
+        yield f"scroll {e}", scroll(e, char)
+    for degrees in ((2, 3), (2, 2, 2), (3, 3)):
+        yield f"ci {degrees}", complete_intersection(degrees, char, seed=0)
+    ring = PolyRing(char, ("x0", "x1", "x2", "x3"))
+    yield "skew lines", EmbeddedScheme(Ideal(ring, ["x0*x2", "x0*x3", "x1*x2", "x1*x3"]))
+    two_node = nodal_quintic(2, char, seed=0)
+    yield "nodal image", model_image(two_node, adjoint_system(two_node, 2, through=[0]))
+
+
+@pytest.mark.parametrize("char", [2, 3, 7, 32003])
+def test_cut_substitutes_as_the_change_of_coordinates_did(char):
+    # every cut tried, the one kept and those refused, has the generators
+    # of the old route term for term
+    tried = []
+    real = Ideal.restrict
+
+    def spy(ideal, ring, matrix):
+        tried.append((ideal, ring.nvars, real(ideal, ring, matrix)))
+        return tried[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ideal, "restrict", spy)
+        for name, scheme in _cut_instances(char):
+            before = len(tried)
+            cut = artinian_reduction(scheme)
+            assert len(tried) > before or cut is scheme, name
+            for ideal, keep, got in tried[before:]:
+                want = [g for g in _cut_by_change_of_coordinates(ideal, keep) if g]
+                assert [g.terms for g in got.gens] == want, (name, keep)
+            if cut is not scheme:
+                assert cut.ideal is tried[-1][2]
+
+
+def test_reduction_changes_no_coordinates(tc, ci23):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction called Ideal.change_coordinates")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ideal, "change_coordinates", refuse)
+        for scheme in (tc, ci23, scroll((2, 1)), complete_intersection((2, 2, 2), 2, seed=0)):
+            cut = artinian_reduction(scheme)
+            assert cut.ring.nvars < scheme.ring.nvars
+            assert cut.ideal.hilbert_series_numerator() == scheme.ideal.hilbert_series_numerator()
 
 
 def test_zero_ideal_keeps_one_variable():

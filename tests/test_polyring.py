@@ -377,6 +377,23 @@ def test_change_coordinates_round_trip(r4):
         ideal.change_coordinates(np.zeros((4, 4), dtype=np.int64))
 
 
+def test_restrict_substitutes_into_the_smaller_ring(r4):
+    # the twisted cubic on the plane x3 = x0 + 2*x1 - x2, in x0, x1, x2
+    ideal = twisted_cubic(r4)
+    plane = PolyRing(32003, ("x0", "x1", "x2"))
+    cut = ideal.restrict(plane, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, -1]])
+    assert cut.ring is plane and len(cut.gens) == len(ideal.gens)
+    rng = random.Random(4)
+    for _ in range(5):
+        a, b, c = (rng.randrange(32003) for _ in range(3))
+        for g, h in zip(ideal.gens, cut.gens):
+            assert h.evaluate((a, b, c)) == g.evaluate((a, b, c, a + 2 * b - c))
+    with pytest.raises(InputError, match="must be 4x3"):
+        ideal.restrict(plane, [[1, 0, 0]] * 3)
+    with pytest.raises(InputError, match="different field"):
+        ideal.restrict(PolyRing(7, ("x0", "x1", "x2")), [[1, 0, 0]] * 4)
+
+
 # -- embedded schemes ----------------------------------------------------------------
 
 
@@ -1060,6 +1077,28 @@ def test_a_complete_intersection_floor_gives_the_plain_basis(nvars, p, kind, see
     assert _basis_items(ideal.groebner()) == _basis_items(fresh.groebner())
     assert ideal.hilbert_series_numerator() == fresh.hilbert_series_numerator()
     assert ideal.hilbert_data() == fresh.hilbert_data()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from([2, 3, 32003]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_zero_floor_gives_the_plain_basis(nvars, p, artinian, seed):
+    # the zero series is a floor of every Hilbert function; pure powers of
+    # every variable make the ideal Artinian, so that the floor is met
+    rng = random.Random(seed)
+    ring = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+    degrees = [rng.choice((2, 2, 3)) for _ in range(rng.randint(1, nvars))]
+    gens = _random_gens(ring, rng, degrees, rng.randint(1, 6))
+    if artinian:
+        gens += [ring.var(i) ** rng.choice((2, 3, 4)) for i in range(nvars)]
+    orders = [DRL, DegRevLex(last=rng.randrange(nvars), nvars=nvars), BlockOrder((0,), nvars)]
+    for order in orders:
+        plain = buchberger([g.terms for g in gens], order, p)
+        assert _basis_items(buchberger([g.terms for g in gens], order, p, [0])) == _basis_items(plain)
 
 
 def test_a_floor_above_the_hilbert_function_is_refused(r4):

@@ -320,6 +320,12 @@ def test_project_class_requires_point_on_scheme(tc):
     alpha = k_p1_cocycle_basis(tc, 2)[0]
     with pytest.raises(InputError, match="not on the scheme"):
         project_class(alpha, (0, 1, 0, 0))
+    # a point of the wrong length is refused as off the scheme when it
+    # fails on the coordinates it has, and for its length otherwise
+    with pytest.raises(InputError, match="not on the scheme"):
+        project_class(alpha, (0, 1, 0))
+    with pytest.raises(InputError, match="wrong coordinate count"):
+        project_class(alpha, (1, 0, 0, 0, 0))
 
 
 def test_project_class_requires_wedge_degree_two(tc):
