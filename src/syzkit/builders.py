@@ -571,7 +571,7 @@ def implicitize_eliminate(model: PlaneModel, forms) -> Ideal:
         gens.append(Polynomial(big, {tuple(e): 1}) - lift(q))
     ideal = Ideal(big, gens)
     saturated = ideal.colon_var_saturation(3)
-    return saturated.eliminate((0, 1, 2, 3)).check_homogeneous()
+    return saturated.eliminate((0, 1, 2, 3))
 
 
 def model_image(

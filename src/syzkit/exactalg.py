@@ -75,12 +75,6 @@ class FieldSpec:
                 f"field characteristic must be a prime 2 <= p < 2**31, got {self.char!r}"
             )
 
-    def inv(self, a: int) -> int:
-        a %= self.char
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_%d" % self.char)
-        return pow(a, -1, self.char)
-
 
 class SparseRows(NamedTuple):
     """A matrix as its rows, each a dict {column: value}, and its width.

@@ -9,8 +9,8 @@ downstream matrix layouts are reproducible.
 
 Groebner bases are computed by Buchberger's algorithm, then inter-reduced:
 the reduced GB is unique for a given order, which several equality tests
-below rely on.  Inhomogeneous inputs are supported (needed for ideal
-intersection via the t-trick); everything else in the package is graded.
+below rely on.  Every ideal is homogeneous: `Ideal` checks its generators,
+so each term of a reduction has the degree of a term already keyed.
 
 - Order keys are exact Python ints that compare as the order does and add
   under monomial multiplication.  They pack 16 bits per exponent, so a
@@ -32,11 +32,13 @@ intersection via the t-trick); everything else in the package is graded.
   its result's DRL entry, and a coordinate change that keeps the DRL leads
   derives its result's DRL entry from the source basis.  Colons
   I : x_i^infinity read the GB in degrevlex with x_i last
-  (Bayer-Stillman), in the same ring.
+  (Bayer-Stillman), in the same ring.  Saturation is one colon I : l^infinity
+  by a linear form l, accepted once it has the Hilbert polynomial of I.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -502,15 +504,6 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def lead_monomial(self, order=DRL) -> Mono:
-        return max(self.terms, key=order.key)
-
-    def monic(self, order=DRL) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = self.ring.field.inv(self.terms[self.lead_monomial(order)])
-        return self.scale(inv)
-
     def evaluate(self, point) -> int:
         """Evaluate at a tuple of field elements."""
         p = self.ring.char
@@ -542,10 +535,10 @@ class Polynomial:
 # normal forms and Buchberger
 #
 # A monic polynomial that reduces others is held as a reducer tuple
-# (lead, mask, key, excess, tail): its lead monomial, the lead's _divmask,
-# the lead's order key, how far the total degree of its terms rises above
-# the lead's (positive only for inhomogeneous input under a block order),
-# and its other terms as (monomial, key, coefficient) triples.
+# (lead, mask, key, tail): its lead monomial, the lead's _divmask, the
+# lead's order key, and its other terms as (monomial, key, coefficient)
+# triples.  Every reducer is homogeneous, so a shifted tail term has the
+# degree of the term it cancels, whose key was packed and checked.
 
 
 def _reducer(g: dict, order, p: int) -> tuple:
@@ -559,9 +552,8 @@ def _keyed_reducer(terms: list, p: int) -> tuple:
     decreasing order, scaled to be monic."""
     lead, key, c = terms[0]
     inv = pow(c, -1, p)
-    excess = max(sum(m) for m, _, _ in terms) - sum(lead)
     tail = [(m, k, v * inv % p) for m, k, v in terms[1:]]
-    return lead, _divmask(lead), key, excess, tail
+    return lead, _divmask(lead), key, tail
 
 
 def _add_shifted(
@@ -569,13 +561,7 @@ def _add_shifted(
 ) -> None:
     """work += c * x^q * (tail of r).  Keys of the shifted terms are the tail
     keys plus kq = key(x^q); a key new to `work` is pushed on `heap`."""
-    lead, _, _, excess, tail = r
-    if excess > 0 and sum(lead) + sum(q) + excess >= DEGREE_LIMIT:
-        raise BudgetError(
-            f"reduction would reach total degree {sum(lead) + sum(q) + excess}, "
-            f"past the term-order limit {DEGREE_LIMIT - 1}"
-        )
-    for m, k, cg in tail:
+    for m, k, cg in r[3]:
         k += kq
         v = work.get(k)
         if v is None:
@@ -631,15 +617,18 @@ def buchberger(
 
     Buchberger's algorithm with the Gebauer-Moeller pair update: S-pairs
     are taken by least (degree of lcm, order key) and reduced on a heap of
-    order keys.  Accepts inhomogeneous input.  The reduced basis is unique
-    for the order, so callers may compare ideals by comparing these lists.
+    order keys.  The generators must be homogeneous, as those of every
+    `Ideal` are: a reduction then stays in the degree of the term it
+    starts from, an input term or an S-pair lcm, whose key was checked
+    against DEGREE_LIMIT.  The reduced basis is unique for the order, so
+    callers may compare ideals by comparing these lists.
 
-    `hilbert`, given for homogeneous generators only, is the numerator
-    over (1-t)^nvars of a series whose coefficients T(d) are a floor of
-    the Hilbert function of R/I: T(d) <= HF(d) in every degree
-    (Traverso's Hilbert-driven stop).  At the first pair of degree d, the
-    degree-d monomials outside the leads found so far are grown from
-    degree d - 1 by `_next_degree`; each new lead of degree d removes one.
+    `hilbert`, if given, is the numerator over (1-t)^nvars of a series
+    whose coefficients T(d) are a floor of the Hilbert function of R/I:
+    T(d) <= HF(d) in every degree (Traverso's Hilbert-driven stop).  At
+    the first pair of degree d, the degree-d monomials outside the leads
+    found so far are grown from degree d - 1 by `_next_degree`; each new
+    lead of degree d removes one.
     The leads lie in in(I), which has the Hilbert function of I in any
     order, so the count is at least HF(d), which is at least T(d).  Once
     the count equals T(d), both are equalities: the leads found span
@@ -730,7 +719,7 @@ def buchberger(
     # inputs join reduced by the earlier ones, so every active lead is
     # divisible by no other
     for r in inputs:
-        add(_reduce(*_pending([(r[0], r[2], 1)] + r[4]), reducers, p))
+        add(_reduce(*_pending([(r[0], r[2], 1)] + r[3]), reducers, p))
 
     # Hilbert-driven: the degree-`deg` monomials outside the leads when they
     # were grown; each new lead of degree d takes one, until HF(d) are left
@@ -775,9 +764,9 @@ def _tail_reduce(minimal: list, p: int) -> ReducedBasis:
     lies below its lead, so only smaller leads can divide it."""
     done: list[tuple] = []
     for r in sorted(minimal, key=lambda r: r[2]):
-        rem = _reduce(*_pending(r[4]), done, p)
+        rem = _reduce(*_pending(r[3]), done, p)
         done.append(_keyed_reducer([(r[0], r[2], 1)] + rem, p))
-    basis = ReducedBasis({r[0]: 1} | {m: c for m, _, c in r[4]} for r in done)
+    basis = ReducedBasis({r[0]: 1} | {m: c for m, _, c in r[3]} for r in done)
     basis.reducers = done
     return basis
 
@@ -908,12 +897,12 @@ def _poly_from_binomials(numer: list[int], dim_plus1: int) -> tuple[Fraction, ..
 class Ideal:
     """A finitely generated ideal in a PolyRing.
 
-    Generators are stored as given (zero generators dropped).  Groebner
-    bases, standard monomials and Hilbert data are cached.  Most methods
-    require homogeneous generators; `groebner` and `eliminate` do not.
+    Generators are stored as given (zero generators dropped) and must be
+    homogeneous (InputError otherwise).  Groebner bases, standard monomials
+    and Hilbert data are cached.
     """
 
-    def __init__(self, ring: PolyRing, gens, require_homogeneous: bool = True):
+    def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         polys = []
         for g in gens:
@@ -921,11 +910,11 @@ class Ideal:
                 g = ring.parse(g)
             if g.ring != ring:
                 raise InputError("generator from a different ring")
+            if not g.is_homogeneous():
+                raise InputError(f"inhomogeneous generator: {g!r}")
             if g:
                 polys.append(g)
         self.gens = tuple(polys)
-        if require_homogeneous:
-            self.check_homogeneous()
         # order name -> (reduced GB, its reducer tuples); the reducers
         # carry the lead terms and their masks
         self._gb: dict[str, tuple[list[dict], list[tuple]]] = {}
@@ -947,14 +936,6 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
-    def check_homogeneous(self) -> "Ideal":
-        """This ideal, once every generator is checked to be homogeneous
-        (InputError otherwise).  Its cached bases are kept."""
-        for g in self.gens:
-            if not g.is_homogeneous():
-                raise InputError(f"inhomogeneous generator: {g!r}")
-        return self
-
     # -- Groebner ----------------------------------------------------------
 
     def _groebner_entry(self, order) -> tuple[list[dict], list[tuple]]:
@@ -970,13 +951,10 @@ class Ideal:
                     [_reducer(_substitute(g, forms, images, p), DRL, p) for g in basis], p
                 )
             else:
-                # for homogeneous gens, the exact Hilbert target (from the
-                # cached DRL leads or carried over `change_coordinates`),
-                # else the floor, if any
-                target = None
-                if all(g.is_homogeneous() for g in self.gens):
-                    known = self._numerator is not None or DRL.name in self._gb
-                    target = self.hilbert_series_numerator() if known else self._floor
+                # the exact Hilbert target (from the cached DRL leads or
+                # carried over `change_coordinates`), else the floor, if any
+                known = self._numerator is not None or DRL.name in self._gb
+                target = self.hilbert_series_numerator() if known else self._floor
                 gb = buchberger([g.terms for g in self.gens], order, p, target)
             got = (gb, gb.reducers)
             self._gb[order.name] = got
@@ -984,9 +962,6 @@ class Ideal:
 
     def groebner(self, order=DRL) -> list[dict]:
         return self._groebner_entry(order)[0]
-
-    def groebner_polys(self, order=DRL) -> list[Polynomial]:
-        return [Polynomial(self.ring, dict(g)) for g in self.groebner(order)]
 
     def lead_monomials(self, order=DRL) -> list[Mono]:
         return [r[0] for r in self._groebner_entry(order)[1]]
@@ -1092,7 +1067,7 @@ class Ideal:
                 got = {m2: 1}
             elif r[0] == m2:
                 p = self.ring.char
-                got = {m: p - c for m, _, c in r[4]}
+                got = {m: p - c for m, _, c in r[3]}
             else:
                 got = self.normal_form(self.ring.monomial(m2)).terms
             self._nf_cache[key] = got
@@ -1170,7 +1145,7 @@ class Ideal:
     # -- ideal operations ----------------------------------------------------
 
     def colon_var_saturation(self, i: int) -> "Ideal":
-        """I : x_i^infinity for a homogeneous ideal, by Bayer-Stillman.
+        """I : x_i^infinity, by Bayer-Stillman.
 
         Take the reduced GB in degrevlex with x_i last.  For homogeneous g
         in that order, x_i divides g exactly when it divides lead(g), so
@@ -1178,7 +1153,6 @@ class Ideal:
         colon.  When no element is divisible by x_i, I : x_i = I and `self`
         is returned."""
         n = self.ring.nvars
-        self.check_homogeneous()
         gb = self.groebner(DRL if i == n - 1 else DegRevLex(last=i, nvars=n))
         powers = [min(m[i] for m in g) for g in gb]
         if not any(powers):
@@ -1188,45 +1162,66 @@ class Ideal:
         ]
         return Ideal(self.ring, [Polynomial(self.ring, g) for g in stripped])
 
-    def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J via the t-trick: eliminate t from t*I + (1-t)*J."""
-        if self.ring != other.ring:
-            raise InputError("intersection needs a common ring")
-        ring = self.ring
-        tname = "t_"
-        while tname in ring.names:
-            tname += "_"
-        big = PolyRing(ring.field, (tname,) + ring.names)
-        t, one = big.var(0), big.one()
-
-        def lift(g: Polynomial) -> Polynomial:
-            return Polynomial(big, {(0,) + m: c for m, c in g.terms.items()})
-
-        gens = [t * lift(g) for g in self.gens] + [(one - t) * lift(g) for g in other.gens]
-        return Ideal(big, gens, require_homogeneous=False).eliminate((0,))
-
     def saturate_irrelevant(self) -> "Ideal":
-        """Saturation with respect to (x_0, ..., x_n): the largest ideal
-        with the same graded pieces in all high degrees.
+        """The saturation I^sat = I : m^infinity, m = (x_0, ..., x_n): the
+        largest ideal with the same graded pieces in all high degrees.
 
-        Computed as the intersection of the single-variable saturations
-        I : x_i^infty; if every one of them is I itself, I is already
-        saturated and is returned as-is.  The last one, I : x_n^infty,
-        reads the DRL basis, which is usually cached, and is taken first.
-        If it is I, then x_n is a nonzerodivisor on R/I and I is saturated
-        (f * m^k in I gives x_n^k * f in I, so f is in I): I is returned
-        without the bases of the other colons."""
-        n = self.ring.nvars
-        last = self.colon_var_saturation(n - 1)
-        if last is self:
-            return self
-        cols = [self.colon_var_saturation(i) for i in range(n - 1)] + [last]
-        out = cols[0]
-        for c in cols[1:]:
-            out = out.intersect(c)
-        # t-trick bases are homogeneous in the x-variables (t has weight 0),
-        # so the kept elements are homogeneous
-        return out.check_homogeneous()
+        For a linear form l, J = I : l^infinity contains I^sat (f * m^k in I
+        gives l^k * f in I).  If R/J has the Hilbert polynomial of R/I, then
+        J / I^sat has finite length inside R/I^sat, which has no m-torsion,
+        so J = I^sat (Bayer-Stillman).  The forms l are tried in one fixed
+        list: the nonzero forms with coefficients 0 and 1, fewest terms
+        first, and among the variables x_n, x_{n-1}, ..., x_0.  A variable
+        is a colon in its own order.  Any other l, whose first variable is
+        x_k, is moved to x_k by x_k -> x_k - (l - x_k); the colon by x_k is
+        taken there and moved back by x_k -> l.  Both changes send each x_i into
+        span(x_i, ..., x_n): the moved ideal carries the Hilbert numerator,
+        a Buchberger target in the colon's order, and the DRL basis of J
+        comes from the colon's by substitution.
+
+        I : x_n^infinity, tried first, reads the DRL basis, which is usually
+        cached.  If it is I, then x_n is a nonzerodivisor on R/I, and I is
+        saturated and returned as is.  Otherwise the saturation is returned
+        with its reduced DRL basis, in order, as its generators, and that
+        basis cached.  A form that fails lies in an associated prime of
+        I^sat: the hyperplane l = 0 contains a component.  When every form
+        fails, InputError is raised; over F_2 the list holds every linear
+        form, so there no linear form is a nonzerodivisor on R/I^sat."""
+        ring, n = self.ring, self.ring.nvars
+
+        def substitution(k, row):
+            """x_k -> sum_j row[j] x_j, every other variable kept."""
+            a = [[int(i == j) for j in range(n)] for i in range(n)]
+            a[k] = row
+            return a
+
+        for size in range(1, n + 1):
+            for support in itertools.combinations(range(n - 1, -1, -1), size):
+                k = support[-1]
+                form = [int(j in support) for j in range(n)]
+                moved = self
+                if size > 1:
+                    moved = self.change_coordinates(
+                        substitution(k, [c if j == k else -c for j, c in enumerate(form)])
+                    )
+                colon = moved.colon_var_saturation(k)
+                if colon is moved:
+                    if k == n - 1:
+                        return self
+                    sat = self
+                elif colon.hilbert_data() != self.hilbert_data():
+                    continue
+                else:
+                    sat = colon if size == 1 else colon.change_coordinates(substitution(k, form))
+                entry = sat._groebner_entry(DRL)
+                out = Ideal(ring, [Polynomial(ring, dict(g)) for g in entry[0]])
+                out._gb[DRL.name] = entry
+                return out
+        raise InputError(
+            f"cannot saturate over F_{ring.char}: for every linear form l with "
+            "coefficients 0 and 1, the hyperplane l = 0 contains a component "
+            "of the scheme"
+        )
 
     def equal_as_schemes(self, other: "Ideal") -> bool:
         """Do the two homogeneous ideals cut out the same closed subscheme,
@@ -1255,12 +1250,12 @@ class Ideal:
             return tuple(m[i] for i in order.rest)
 
         reducers = [
-            (small(lead), _divmask(small(lead)), key, excess, [(small(m), k, c) for m, k, c in tail])
-            for lead, _, key, excess, tail in self._groebner_entry(order)[1]
+            (small(lead), _divmask(small(lead)), key, [(small(m), k, c) for m, k, c in tail])
+            for lead, _, key, tail in self._groebner_entry(order)[1]
             if not any(lead[i] for i in order.first)
         ]
-        kept = [{r[0]: 1} | {m: c for m, _, c in r[4]} for r in reducers]
-        out = Ideal(ring2, [Polynomial(ring2, dict(g)) for g in kept], require_homogeneous=False)
+        kept = [{r[0]: 1} | {m: c for m, _, c in r[3]} for r in reducers]
+        out = Ideal(ring2, [Polynomial(ring2, dict(g)) for g in kept])
         out._gb[DRL.name] = (kept, reducers)
         return out
 
@@ -1321,14 +1316,13 @@ class Ideal:
 class EmbeddedScheme:
     """A closed subscheme of P^n over F_p presented by a homogeneous ideal.
 
-    Validation: generators homogeneous, the ideal is not the unit ideal,
-    and the scheme is nondegenerate (no linear forms in the ideal).  The
-    `labels` dict carries provenance (builder recipe, expected invariants)
-    and is purely informational.
+    Validation (the generators are homogeneous, as in every Ideal): the
+    ideal is not the unit ideal, and the scheme is nondegenerate (no
+    linear forms in the ideal).  The `labels` dict carries provenance
+    (builder recipe, expected invariants) and is purely informational.
     """
 
     def __init__(self, ideal: Ideal, labels: dict | None = None):
-        ideal.check_homogeneous()
         if ideal.is_unit_ideal():
             raise InputError("unit ideal does not define a subscheme of P^n")
         for lm in ideal.lead_monomials():

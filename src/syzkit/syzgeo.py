@@ -231,7 +231,8 @@ class ProjectionContext:
     @cached_property
     def projected(self) -> EmbeddedScheme:
         n = self.moved.ring.nvars - 1
-        # the elimination ideal carries its DRL basis; the scheme checks homogeneity
+        # the scheme's unit and linear-form checks read the DRL basis that the
+        # elimination carries
         return EmbeddedScheme(
             self.moved.ideal.eliminate((n,)),
             labels={**self.source.labels, "projected-from": "point"},

@@ -17,6 +17,7 @@ from syzkit.polyring import (
     EmbeddedScheme,
     Ideal,
     PolyRing,
+    Polynomial,
     buchberger,
     format_ideal_text,
     parse_ideal_text,
@@ -190,7 +191,7 @@ def test_groebner_matches_sympy(r4):
         *drawn,
     ]:
         ideal = Ideal(r4, gens)
-        mine = {r4.format(g) for g in ideal.groebner_polys()}
+        mine = {r4.format(Polynomial(r4, dict(g))) for g in ideal.groebner()}
         ref = sympy.groebner(
             [sympy.sympify(s.replace("^", "**")) for s in gens],
             *xs,
@@ -309,26 +310,45 @@ def test_hilbert_two_points():
 
 
 def test_eliminate_conic_parametrization():
-    ring = PolyRing(32003, ("t0", "t1", "y0", "y1", "y2"))
-    graph = Ideal(
-        ring,
-        [
-            ring.parse("y0 - t0^2"),
-            ring.parse("y1 - t0*t1"),
-            ring.parse("y2 - t1^2"),
-        ],
-        require_homogeneous=False,
-    )
-    conic = graph.eliminate((0, 1))
+    # the graph of [t0 : t1] -> [t0^2 : t0*t1 : t1^2], made homogeneous by
+    # the weight w; its components off the graph lie in w = 0
+    ring = PolyRing(32003, ("t0", "t1", "w", "y0", "y1", "y2"))
+    graph = Ideal(ring, ["y0*w - t0^2", "y1*w - t0*t1", "y2*w - t1^2"])
+    conic = graph.colon_var_saturation(2).eliminate((0, 1, 2))
+    assert conic.ring.names == ("y0", "y1", "y2")
     target = Ideal(conic.ring, ["y1^2 - y0*y2"])
     assert conic.same_ideal(target)
+
+
+def _meet_times_s(left, right):
+    """K = t*I + (s - t)*J in k[t, x, s], with t eliminated: the ideal
+    s * (I cap J)[s] of k[x, s], from homogeneous operations only."""
+    ring = left.ring
+    big = PolyRing(ring.field, ("t_",) + ring.names + ("s_",))
+    t, s = big.var(0), big.var(big.nvars - 1)
+
+    def lift(g):
+        return Polynomial(big, {(0,) + m + (0,): c for m, c in g.terms.items()})
+
+    gens = [t * lift(g) for g in left.gens] + [(s - t) * lift(g) for g in right.gens]
+    return Ideal(big, gens).eliminate((0,))
+
+
+def _intersection(left, right):
+    """I cap J: the colon of `_meet_times_s` by s, whose reduced DRL basis
+    is free of s, with s dropped."""
+    meet = _meet_times_s(left, right)
+    basis = meet.colon_var_saturation(meet.ring.nvars - 1).groebner()
+    assert not any(m[-1] for g in basis for m in g)
+    ring = left.ring
+    return Ideal(ring, [Polynomial(ring, {m[:-1]: c for m, c in g.items()}) for g in basis])
 
 
 def test_intersection():
     r2 = PolyRing(32003, ("x0", "x1"))
     left = Ideal(r2, ["x0"])
     right = Ideal(r2, ["x1"])
-    both = left.intersect(right)
+    both = _intersection(left, right)
     assert both.same_ideal(Ideal(r2, ["x0*x1"]))
 
 
@@ -346,7 +366,7 @@ def test_saturate_irrelevant():
     sat = ideal.saturate_irrelevant()
     assert sat.same_ideal(Ideal(r2, ["x0"]))
     # (x0*x1) is already saturated, but the one-variable colons differ from it:
-    # the pairwise intersection path must reproduce it exactly
+    # the colon by x0 + x1 must reproduce it exactly
     prod = Ideal(r2, ["x0*x1"])
     assert prod.saturate_irrelevant().same_ideal(prod)
     # a genuinely saturated ideal takes the fast path and returns itself
@@ -616,17 +636,18 @@ def test_elimination_carries_its_drl_basis(r4, monkeypatch):
     projection = twisted_cubic(r4).change_coordinates(_invertible(rng, 4, 32003)).eliminate((3,))
     r3 = PolyRing(32003, ("x0", "x1", "x2"))
     left, right = Ideal(r3, ["x0*x1", "x2^2"]), Ideal(r3, ["x1^2 - x0*x2", "x0*x2 + x2^2"])
-    meet = left.intersect(right)
+    meet = _meet_times_s(left, right)
     for out in (projection, meet):
         carried = out._groebner_entry(DRL)
-        fresh = Ideal(out.ring, out.gens, require_homogeneous=False)
+        fresh = Ideal(out.ring, out.gens)
         monkeypatch.setattr(polyring, "buchberger", None)  # the cache must answer
         assert out.groebner() is carried[0]
         monkeypatch.undo()
         computed = fresh._groebner_entry(DRL)
         assert [list(g.items()) for g in carried[0]] == [list(g.items()) for g in computed[0]]
         assert carried[1] == computed[1]
-    assert left.contains_ideal(meet) and right.contains_ideal(meet)
+    both = _intersection(left, right)
+    assert left.contains_ideal(both) and right.contains_ideal(both)
 
 
 def test_out_of_range_variable_indices_are_refused():
@@ -691,10 +712,13 @@ def test_monomials_past_the_degree_limit_are_refused():
             order.key((1, DEGREE_LIMIT - 1))
     with pytest.raises(BudgetError):
         Ideal(ring, [f"t^{DEGREE_LIMIT}", "y^2"]).groebner()
-    # reducing t*y by t - y^(limit-1) would reach y^limit: refused, not wrapped
-    big = Ideal(ring, [f"t - y^{DEGREE_LIMIT - 1}", "t*y"], require_homogeneous=False)
-    with pytest.raises(BudgetError):
-        big.eliminate((0,))
+    # both generators pack, but the lcm of their leads, t^(limit-2)*y^(limit-2),
+    # does not: its S-pair is refused, not wrapped
+    top = DEGREE_LIMIT - 2
+    pair = Ideal(ring, [f"t^{top}*y + y^{top + 1}", f"t*y^{top} + y^{top + 1}"])
+    for order in (DRL, BlockOrder((0,), 2)):
+        with pytest.raises(BudgetError):
+            pair.groebner(order)
 
 
 def _colon_by_permuted_ring(ideal, i):
@@ -889,15 +913,38 @@ def _saturation_by_every_colon(ideal):
     fresh = Ideal(ideal.ring, ideal.gens)
     out = fresh.colon_var_saturation(0)
     for i in range(1, ideal.ring.nvars):
-        out = out.intersect(fresh.colon_var_saturation(i))
+        out = _intersection(out, fresh.colon_var_saturation(i))
     return out
 
 
-@settings(max_examples=30, deadline=None)
+def _zero_divisor_forms(sat):
+    """The forms l with coefficients 0 and 1 that are zero divisors on R/S,
+    S = `sat`: those with S cap (l) != l*S."""
+    ring, n = sat.ring, sat.ring.nvars
+    out = []
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            form = ring.from_terms({tuple(int(i == j) for i in range(n)): 1 for j in support})
+            meet = _intersection(sat, Ideal(ring, [form]))
+            if not meet.same_ideal(Ideal(ring, [form * g for g in sat.gens])):
+                out.append(support)
+    return out
+
+
+def _random_linear_form(ring, rng):
+    p, n = ring.char, ring.nvars
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(n)]
+        if any(coeffs):
+            return ring.from_terms(dict(zip(units, coeffs)))
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 5),
     st.sampled_from([2, 3, 32003]),
-    st.sampled_from(["times-m", "cap-power-of-m", "saturated-cap-x_n"]),
+    st.sampled_from(["times-m", "cap-power-of-m", "saturated-cap-x_n", "linear-product-times-m"]),
     st.integers(0, 2**32 - 1),
 )
 def test_saturation_equals_the_intersection_over_every_variable(nvars, p, kind, seed):
@@ -910,21 +957,89 @@ def test_saturation_equals_the_intersection_over_every_variable(nvars, p, kind, 
         ideal = Ideal(ring, [g * x for g in base.gens for x in xs])
     elif kind == "cap-power-of-m":
         power = Ideal(ring, [ring.monomial(m) for m in ring.monomials_of_degree(rng.randint(1, 3))])
-        ideal = base.intersect(power).check_homogeneous()
-    else:
+        ideal = _intersection(base, power)
+    elif kind == "saturated-cap-x_n":
         # saturated, as an intersection of saturated ideals, and x_n is a
         # zero divisor on it
-        ideal = _saturation_by_every_colon(base).intersect(Ideal(ring, [xs[-1]]))
-        ideal.check_homogeneous()
+        ideal = _intersection(_saturation_by_every_colon(base), Ideal(ring, [xs[-1]]))
+    else:
+        # f * m for a product f of linear forms: every form through a
+        # hyperplane of f is a zero divisor
+        f = ring.one()
+        for _ in range(rng.randint(2, 4)):
+            f = f * _random_linear_form(ring, rng)
+        base = Ideal(ring, [f])
+        ideal = Ideal(ring, [f * x for x in xs])
     reference = _saturation_by_every_colon(ideal)
-    got = ideal.saturate_irrelevant()
+    try:
+        got = ideal.saturate_irrelevant()
+    except InputError as err:
+        assert p in (2, 3), err
+        assert f"over F_{p}" in str(err)
+        assert len(_zero_divisor_forms(reference)) == 2**nvars - 1
+        return
     assert _basis_items(got.groebner()) == _basis_items(reference.groebner())
+    if got is not ideal:
+        # the returned generators are the reduced DRL basis, as printed
+        assert [list(g.terms.items()) for g in got.gens] == _basis_items(reference.groebner())
     if kind != "cap-power-of-m":
         assert ideal.colon_var_saturation(nvars - 1) is not ideal
-    if kind == "times-m":
+    if kind in ("times-m", "linear-product-times-m"):
         assert got.same_ideal(_saturation_by_every_colon(base))
     if kind == "saturated-cap-x_n":
         assert got.same_ideal(ideal)
+
+
+def test_a_saturated_product_of_two_lines_is_certified_by_their_sum(monkeypatch):
+    # x0 and x1 are zero divisors on R/(x0*x1); x0 + x1 is not.  The
+    # generator is not monic, and the result prints its reduced basis
+    ring = PolyRing(32003, ("x0", "x1"))
+    prod = Ideal(ring, ["2*x0*x1"])
+    moves = []
+    real = Ideal.change_coordinates
+
+    def recording(ideal, matrix):
+        moves.append(matrix)
+        return real(ideal, matrix)
+
+    monkeypatch.setattr(Ideal, "change_coordinates", recording)
+    got = prod.saturate_irrelevant()
+    assert got.same_ideal(prod)
+    assert [ring.format(g) for g in got.gens] == ["x0*x1"]
+    assert prod.colon_var_saturation(1) is not prod and prod.colon_var_saturation(0) is not prod
+    # one move, and it sends x0 + x1 to a variable
+    (move,) = moves
+    assert ring.parse("x0 + x1").substitute_linear(move) in ring.gens()
+
+
+def test_saturation_over_f2_refuses_when_every_form_is_a_zero_divisor():
+    # the three lines x0, x1 and x0 + x1 are every linear form over F_2
+    ring = PolyRing(2, ("x0", "x1"))
+    lines = Ideal(ring, ["x0^2*x1 + x0*x1^2"])
+    assert _zero_divisor_forms(lines) == [(0,), (1,), (0, 1)]
+    with pytest.raises(InputError, match="over F_2.*contains a component"):
+        lines.saturate_irrelevant()
+    # over F_3 the lines are x0, x1 and x0 - x1, and x0 + x1 = 0 contains
+    # none of them: it certifies the product as saturated
+    r3 = PolyRing(3, ("x0", "x1"))
+    assert Ideal(r3, ["x0^2*x1 + 2*x0*x1^2"]).saturate_irrelevant().same_ideal(
+        Ideal(r3, ["x0^2*x1 - x0*x1^2"])
+    )
+
+
+def test_a_saturation_is_returned_with_its_cached_reduced_drl_basis(r4, monkeypatch):
+    import syzkit.polyring as polyring
+
+    cubic = twisted_cubic(r4)
+    xs = r4.gens()
+    ideal = Ideal(r4, [g * x for g in cubic.gens for x in xs])
+    got = ideal.saturate_irrelevant()
+    basis = got.groebner()
+    monkeypatch.setattr(polyring, "buchberger", None)  # the cache must answer
+    assert got.groebner() is basis
+    monkeypatch.undo()
+    assert [g.terms for g in got.gens] == list(basis)
+    assert _basis_items(basis) == _basis_items(Ideal(r4, cubic.gens).groebner())
 
 
 def test_projecting_rnc_4_derives_the_moved_drl_basis():
